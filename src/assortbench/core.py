@@ -7,9 +7,16 @@ potential (with its fixed point, which identifies the optimal
 revenue-ordered assortment) all live here.
 
 Assortments are strictly increasing tuples of 1-based item indices.
-Instances and potential profiles are immutable after construction and
-safe to share across threads; only the caller-owned random generator is
-mutated by sampling.
+Instances, prepared offers, level-set oracles and potential profiles are
+immutable after construction and safe to share across threads; only the
+caller-owned random generator is mutated by sampling.
+
+Two objects keep the simulator's hot paths free of repeated work. A
+``PreparedOffer`` validates an assortment and sums its utilities once;
+``run_episode`` prepares each distinct offer once per episode, so a
+repeated offer costs O(log |S|) per period. A ``LevelSetOracle`` sorts a
+revenue vector once; each later level-set optimization under new utilities
+costs two cumulative sums.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import numpy as np
 __all__ = [
     "Instance",
     "PurchaseOutcome",
+    "PreparedOffer",
+    "LevelSetOracle",
     "PotentialProfile",
     "InvalidAssortmentError",
     "expected_revenue",
@@ -59,6 +68,22 @@ class PurchaseOutcome:
     revenue: float
 
 
+def _check_revenues(r: np.ndarray) -> None:
+    if not np.all(np.isfinite(r)):
+        raise ValueError("revenues must be finite")
+    if np.any(r < 0.0) or np.any(r > 1.0):
+        raise ValueError("revenues must lie in [0, 1]")
+
+
+def _check_utilities(v: np.ndarray) -> None:
+    # Array methods rather than np.all/np.any: this runs once per plug-in
+    # optimization, where the function wrappers' overhead shows.
+    if not np.isfinite(v).all():
+        raise ValueError("utilities must be finite")
+    if (v < 0.0).any():
+        raise ValueError("utilities must be nonnegative")
+
+
 class Instance:
     """One MNL environment: revenues in [0, 1] and nonnegative utilities.
 
@@ -78,14 +103,8 @@ class Instance:
             )
         if r.shape[0] < 1:
             raise ValueError("instance needs at least one item")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("revenues must be finite")
-        if np.any(r < 0.0) or np.any(r > 1.0):
-            raise ValueError("revenues must lie in [0, 1]")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("utilities must be finite")
-        if np.any(v < 0.0):
-            raise ValueError("utilities must be nonnegative")
+        _check_revenues(r)
+        _check_utilities(v)
         r.setflags(write=False)
         v.setflags(write=False)
         self.revenues = r
@@ -163,10 +182,6 @@ def _assortment_indices(instance: Instance, assortment) -> np.ndarray:
         )
     if np.any(np.diff(idx) <= 0):
         raise InvalidAssortmentError("assortment indices must be strictly increasing")
-    if idx.min() < 1 or idx.max() > instance.n:
-        raise InvalidAssortmentError(
-            f"item indices must lie in [1, {instance.n}]"
-        )
     return idx - 1
 
 
@@ -197,22 +212,57 @@ def choice_probabilities(instance: Instance, assortment) -> np.ndarray:
     return probs
 
 
+class PreparedOffer:
+    """An assortment validated against one instance, ready to sample from.
+
+    Holds the 0-based item indices and the cumulative utilities in item
+    order, so each draw costs one uniform and a binary search.
+    """
+
+    __slots__ = ("instance", "indices", "cum_utilities", "_scale")
+
+    def __init__(self, instance: Instance, assortment):
+        idx = _assortment_indices(instance, assortment)
+        cum = np.cumsum(instance.utilities[idx])
+        idx.setflags(write=False)
+        cum.setflags(write=False)
+        self.instance = instance
+        self.indices = idx
+        self.cum_utilities = cum
+        # 1 + total utility of the offer; None for the empty offer.
+        self._scale = float(1.0 + cum[-1]) if idx.size else None
+
+    def sample(self, rng) -> PurchaseOutcome:
+        """Draw one purchase decision; advances ``rng`` by exactly one uniform.
+
+        The uniform u picks no purchase when u (1 + sum v) < 1 and otherwise
+        the first item whose cumulative utility exceeds u (1 + sum v) - 1.
+        """
+        u = rng.random()
+        if self._scale is None:
+            return PurchaseOutcome(0, 0.0)
+        scaled = u * self._scale
+        if scaled < 1.0:
+            return PurchaseOutcome(0, 0.0)
+        cum = self.cum_utilities
+        pos = int(np.searchsorted(cum, scaled - 1.0, side="right"))
+        if pos >= cum.size:  # float edge at the top of the range
+            pos = cum.size - 1
+        i = self.indices[pos]
+        return PurchaseOutcome(int(i) + 1, float(self.instance.revenues[i]))
+
+
 def sample_purchase(instance: Instance, assortment, rng) -> PurchaseOutcome:
-    """Draw one purchase decision; advances ``rng`` by exactly one uniform."""
-    idx = _assortment_indices(instance, assortment)
-    u = rng.random()
-    if idx.size == 0:
-        return PurchaseOutcome(0, 0.0)
-    v = instance.utilities[idx]
-    cum = np.cumsum(v)
-    scaled = u * (1.0 + cum[-1])
-    if scaled < 1.0:
-        return PurchaseOutcome(0, 0.0)
-    pos = int(np.searchsorted(cum, scaled - 1.0, side="right"))
-    if pos >= idx.size:  # float edge at the top of the range
-        pos = idx.size - 1
-    item = int(idx[pos]) + 1
-    return PurchaseOutcome(item, float(instance.revenues[idx[pos]]))
+    """Draw one purchase decision; advances ``rng`` by exactly one uniform.
+
+    ``assortment`` is an index sequence or a ``PreparedOffer`` built for
+    ``instance``; the latter skips validation and the utility sums.
+    """
+    if isinstance(assortment, PreparedOffer):
+        if assortment.instance is not instance:
+            raise ValueError("offer was prepared for a different instance")
+        return assortment.sample(rng)
+    return PreparedOffer(instance, assortment).sample(rng)
 
 
 def level_set_from_revenues(revenues, theta: float) -> tuple:
@@ -220,7 +270,7 @@ def level_set_from_revenues(revenues, theta: float) -> tuple:
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     r = np.asarray(revenues, dtype=float)
-    return tuple(int(i) + 1 for i in np.flatnonzero(r >= theta))
+    return tuple((np.flatnonzero(r >= theta) + 1).tolist())
 
 
 def level_set(instance: Instance, theta: float) -> tuple:
@@ -233,22 +283,68 @@ def potential(instance: Instance, theta: float) -> float:
     return expected_revenue(instance, level_set(instance, theta))
 
 
-def _level_set_values(instance: Instance):
-    """Distinct revenues (ascending) and R({r >= s}) for each of them."""
-    order = np.argsort(-instance.revenues, kind="stable")
-    r_desc = instance.revenues[order]
-    v_desc = instance.utilities[order]
-    cum_v = np.cumsum(v_desc)
-    cum_rv = np.cumsum(r_desc * v_desc)
-    # Last position of each distinct revenue in the descending order gives
-    # the prefix length of its level set.
-    distinct_desc, counts = np.unique(-r_desc, return_counts=True)
-    s_asc = -distinct_desc[::-1]  # ascending distinct revenues
-    prefix_len_desc = np.cumsum(counts)  # for ascending of -r == descending of r
-    prefix_len = prefix_len_desc[::-1]  # aligned with s_asc: |{r >= s}|
-    k = prefix_len - 1
-    values = cum_rv[k] / (1.0 + cum_v[k])
-    return s_asc, values
+class LevelSetOracle:
+    """Revenue level sets of one revenue vector, sorted once.
+
+    Holds the stable descending order of the revenues, the sorted revenues,
+    the distinct revenues (ascending) as thresholds, and for each threshold
+    s the size of its level set {i : r_i >= s}, which is a prefix of the
+    descending order. Evaluating every level set under new utilities then
+    costs two cumulative sums instead of a sort.
+    """
+
+    def __init__(self, revenues):
+        r = np.array(revenues, dtype=float)
+        if r.ndim != 1 or r.size < 1:
+            raise ValueError("revenues must be a nonempty vector")
+        _check_revenues(r)
+        order = np.argsort(-r, kind="stable")
+        r_desc = r[order]
+        # Last position of each distinct revenue in the descending order gives
+        # the prefix length of its level set.
+        distinct_desc, counts = np.unique(-r_desc, return_counts=True)
+        thresholds = -distinct_desc[::-1]  # ascending distinct revenues
+        prefix_len = np.cumsum(counts)[::-1]  # aligned with thresholds: |{r >= s}|
+        for a in (r, order, r_desc, thresholds, prefix_len):
+            a.setflags(write=False)
+        self.revenues = r
+        self.order = order
+        self.sorted_revenues = r_desc
+        self.thresholds = thresholds
+        self.prefix_len = prefix_len
+
+    def values(self, utilities) -> np.ndarray:
+        """R({r >= s}) under ``utilities`` for each threshold s (ascending).
+
+        Raises ValueError unless the utilities match the revenues in length
+        and are finite and nonnegative.
+        """
+        v = np.asarray(utilities, dtype=float)
+        if v.shape != self.revenues.shape:
+            raise ValueError(
+                f"length mismatch: {self.revenues.size} revenues vs {v.size} utilities"
+            )
+        _check_utilities(v)
+        v_desc = v[self.order]
+        cum_v = np.cumsum(v_desc)
+        cum_rv = np.cumsum(self.sorted_revenues * v_desc)
+        k = self.prefix_len - 1
+        return cum_rv[k] / (1.0 + cum_v[k])
+
+    def best(self, utilities):
+        """Best level set under ``utilities`` and its expected revenue.
+
+        Ties are broken toward the smallest level set (largest threshold);
+        when no level set earns a positive revenue the empty assortment and
+        0.0 are returned.
+        """
+        values = self.values(utilities)
+        # The first maximum of the reversed values is the largest maximizing
+        # threshold.
+        i = values.size - 1 - int(np.argmax(values[::-1]))
+        if not values[i] > 0.0:
+            return (), 0.0
+        return level_set_from_revenues(self.revenues, self.thresholds[i]), float(values[i])
 
 
 def build_potential_profile(instance: Instance) -> PotentialProfile:
@@ -258,7 +354,9 @@ def build_potential_profile(instance: Instance) -> PotentialProfile:
     consecutive stored values always differ. The fixed point theta* equals
     the maximum value f*.
     """
-    s_asc, set_values = _level_set_values(instance)
+    levels = LevelSetOracle(instance.revenues)
+    s_asc = levels.thresholds
+    set_values = levels.values(instance.utilities)
     m = s_asc.shape[0]
     # Raw interval values: c_0 on (-inf, s_1], c_i on (s_i, s_{i+1}], c_m = 0.
     raw_values = [float(set_values[0])]
@@ -290,18 +388,7 @@ def oracle_optimal(instance: Instance):
     Ties are broken toward the smallest level set (largest threshold);
     when F* = 0 the empty assortment is returned.
     """
-    s_asc, set_values = _level_set_values(instance)
-    best_value = 0.0
-    best_theta = None  # None encodes the empty assortment
-    # Descending thresholds = smallest level sets first, so a strict
-    # improvement test keeps the largest maximizing threshold.
-    for i in range(s_asc.shape[0] - 1, -1, -1):
-        if set_values[i] > best_value:
-            best_value = float(set_values[i])
-            best_theta = float(s_asc[i])
-    if best_theta is None:
-        return (), 0.0
-    return level_set(instance, best_theta), best_value
+    return LevelSetOracle(instance.revenues).best(instance.utilities)
 
 
 def brute_force_optimal(instance: Instance):
@@ -325,15 +412,6 @@ def brute_force_optimal(instance: Instance):
     return items, float(revenue[best])
 
 
-def _purchase_distribution(instance: Instance, idx: np.ndarray) -> np.ndarray:
-    v = instance.utilities[idx]
-    denom = 1.0 + v.sum()
-    out = np.empty(idx.size + 1)
-    out[0] = 1.0 / denom
-    out[1:] = v / denom
-    return out
-
-
 def kl_purchase_distributions(p0: Instance, p1: Instance, assortment) -> float:
     """Exact KL divergence (natural log) between the purchase distributions.
 
@@ -342,9 +420,8 @@ def kl_purchase_distributions(p0: Instance, p1: Instance, assortment) -> float:
     """
     if p0.n != p1.n:
         raise ValueError("instances must share the same number of items")
-    idx = _assortment_indices(p0, assortment)
-    p = _purchase_distribution(p0, idx)
-    q = _purchase_distribution(p1, idx)
+    p = choice_probabilities(p0, assortment)
+    q = choice_probabilities(p1, assortment)
     total = 0.0
     for pj, qj in zip(p, q):
         if pj == 0.0:
@@ -359,9 +436,8 @@ def kl_quadratic_bound(p0: Instance, p1: Instance, assortment) -> float:
     """Quadratic upper bound sum((p_j - q_j)^2 / q_j) on the same KL."""
     if p0.n != p1.n:
         raise ValueError("instances must share the same number of items")
-    idx = _assortment_indices(p0, assortment)
-    p = _purchase_distribution(p0, idx)
-    q = _purchase_distribution(p1, idx)
+    p = choice_probabilities(p0, assortment)
+    q = choice_probabilities(p1, assortment)
     total = 0.0
     for pj, qj in zip(p, q):
         eps = pj - qj

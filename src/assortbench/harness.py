@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Instance, expected_revenue, oracle_optimal, sample_purchase
+from .core import Instance, PreparedOffer, expected_revenue, oracle_optimal, sample_purchase
 from .generators import GeneratorSpec, generate_lower_bound, generate_synthetic
 from .policies import make_policy
 
@@ -168,7 +168,8 @@ def run_episode(
     Customer purchases and policy-internal randomness use independent
     streams derived from ``seed``. Regret per period is the gap in
     expected revenue against the optimal assortment under the true
-    instance.
+    instance. Each distinct offer is prepared and valued once per episode,
+    so a repeated offer costs O(log |S|) per period.
     """
     customer_rng = np.random.default_rng(derive_seed(seed, "customer"))
     policy_rng = np.random.default_rng(derive_seed(seed, "policy"))
@@ -177,14 +178,23 @@ def run_episode(
     )
     _, optimal_value = oracle_optimal(instance)
     log = EpisodeLog(policy_name=policy_name, seed=seed, optimal_value=optimal_value)
-    revenue_cache: dict = {}
+    prepared: dict = {}  # assortment -> (PreparedOffer, expected revenue)
+    previous = None
     for t in range(1, horizon + 1):
         assortment = policy.next_assortment()
-        value = revenue_cache.get(assortment)
-        if value is None:
-            value = expected_revenue(instance, assortment)
-            revenue_cache[assortment] = value
-        outcome = sample_purchase(instance, assortment, customer_rng)
+        # Tuples do not cache their hash, so a dict lookup costs O(|S|);
+        # policies hand back the same tuple while an offer repeats.
+        if assortment is not previous:
+            entry = prepared.get(assortment)
+            if entry is None:
+                entry = (
+                    PreparedOffer(instance, assortment),
+                    expected_revenue(instance, assortment),
+                )
+                prepared[assortment] = entry
+            offer, value = entry
+            previous = assortment
+        outcome = sample_purchase(instance, offer, customer_rng)
         policy.observe(outcome)
         log.steps.append((t, len(assortment), value, optimal_value - value))
         log.assortments.append(assortment)

@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from .concentration import adaptive_ci, fixed_ci
-from .core import Instance, PurchaseOutcome, level_set_from_revenues, oracle_optimal
+from .core import LevelSetOracle, PurchaseOutcome, level_set_from_revenues
+from .core import oracle_optimal  # noqa: F401  (perfbench's tracer wraps it by this name)
 
 __all__ = [
     "Policy",
@@ -190,7 +191,8 @@ class _EpochEstimatorPolicy(Policy):
 
     The current assortment is offered repeatedly until a no-purchase
     outcome closes the epoch; per-epoch purchase counts are unbiased
-    estimates of the item utilities.
+    estimates of the item utilities. The revenues are sorted once, when
+    the policy is built; each epoch's plug-in optimization reuses them.
     """
 
     def _pick_assortment(self) -> tuple:
@@ -198,6 +200,7 @@ class _EpochEstimatorPolicy(Policy):
 
     def _run(self):
         n = self.revenues.size
+        self._levels = LevelSetOracle(self.revenues)  # raises unless r in [0, 1]
         self.epoch_counts = np.zeros(n)  # epochs in which item i was offered
         self.purchase_totals = np.zeros(n)  # purchases of item i across those epochs
         self.epochs_closed = 0
@@ -217,12 +220,11 @@ class _EpochEstimatorPolicy(Policy):
     def _plug_in_optimum(self, utilities: np.ndarray, force_include: np.ndarray) -> tuple:
         """Level-set optimum under estimated utilities, with untried items
         forced into the offer so they get explored."""
-        plug_in = Instance(self.revenues, utilities)
-        assortment, _ = oracle_optimal(plug_in)
+        assortment, _ = self._levels.best(utilities)
         if force_include.any():
-            merged = set(assortment)
-            merged.update(int(i) + 1 for i in np.flatnonzero(force_include))
-            return tuple(sorted(merged))
+            merged = force_include.copy()
+            merged[np.asarray(assortment, dtype=np.int64) - 1] = True
+            return tuple((np.flatnonzero(merged) + 1).tolist())
         return assortment
 
 

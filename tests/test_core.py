@@ -9,6 +9,9 @@ from assortbench.core import (
     BRUTE_FORCE_MAX_ITEMS,
     Instance,
     InvalidAssortmentError,
+    LevelSetOracle,
+    PreparedOffer,
+    PurchaseOutcome,
     brute_force_optimal,
     build_potential_profile,
     choice_probabilities,
@@ -16,10 +19,12 @@ from assortbench.core import (
     kl_purchase_distributions,
     kl_quadratic_bound,
     level_set,
+    level_set_from_revenues,
     oracle_optimal,
     potential,
     sample_purchase,
 )
+from assortbench.policies import UcbPolicy
 
 
 def small_instances():
@@ -32,6 +37,84 @@ def small_instances():
             st.lists(unit, min_size=k, max_size=k),
         )
     ).map(lambda rv: Instance(rv[0], rv[1]))
+
+
+# Revenues drawn from a few exact values as well as the whole unit range,
+# so that ties, zeros and ones are common.
+_edgy_revenue = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+_edgy_utility = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+)
+
+
+def edgy_instances(max_items: int):
+    """Instances with 1..max_items items whose revenues tie, hit 0 and 1,
+    and whose utilities are often 0."""
+    n = st.integers(min_value=1, max_value=max_items)
+    return n.flatmap(
+        lambda k: st.tuples(
+            st.lists(_edgy_revenue, min_size=k, max_size=k),
+            st.lists(_edgy_utility, min_size=k, max_size=k),
+        )
+    ).map(lambda rv: Instance(rv[0], rv[1]))
+
+
+def edgy_offers(max_items: int):
+    """(instance, assortment): an edgy instance and any subset of its items."""
+    return edgy_instances(max_items).flatmap(
+        lambda inst: st.tuples(
+            st.just(inst),
+            st.lists(st.booleans(), min_size=inst.n, max_size=inst.n).map(
+                lambda keep: tuple(i + 1 for i, k in enumerate(keep) if k)
+            ),
+        )
+    )
+
+
+def loop_best(levels: LevelSetOracle, utilities):
+    """The threshold loop that ``oracle_optimal`` ran before
+    ``LevelSetOracle.best``: scan the level sets from the smallest up and
+    keep strict improvements over 0."""
+    values = levels.values(utilities)
+    best_value, best_theta = 0.0, None
+    for i in range(values.size - 1, -1, -1):
+        if values[i] > best_value:
+            best_value = float(values[i])
+            best_theta = float(levels.thresholds[i])
+    if best_theta is None:
+        return (), 0.0
+    return level_set_from_revenues(levels.revenues, best_theta), best_value
+
+
+def set_sorted_merge(assortment, force_include):
+    """The set-and-sort merge of forced items the estimator policies ran
+    before the boolean mask."""
+    if force_include.any():
+        merged = set(assortment)
+        merged.update(int(i) + 1 for i in np.flatnonzero(force_include))
+        return tuple(sorted(merged))
+    return assortment
+
+
+def cumsum_sample(instance, assortment, rng):
+    """The sampler ``sample_purchase`` ran before ``PreparedOffer``: the
+    cumulative utilities rebuilt on every call."""
+    idx = np.asarray(assortment, dtype=np.int64) - 1
+    u = rng.random()
+    if idx.size == 0:
+        return PurchaseOutcome(0, 0.0)
+    cum = np.cumsum(instance.utilities[idx])
+    scaled = u * (1.0 + cum[-1])
+    if scaled < 1.0:
+        return PurchaseOutcome(0, 0.0)
+    pos = int(np.searchsorted(cum, scaled - 1.0, side="right"))
+    if pos >= idx.size:
+        pos = idx.size - 1
+    return PurchaseOutcome(int(idx[pos]) + 1, float(instance.revenues[idx[pos]]))
 
 
 class TestInstance:
@@ -137,6 +220,41 @@ class TestSamplePurchase:
                 assert out.revenue == 0.0
             else:
                 assert out.revenue == inst.revenues[out.item - 1]
+
+
+class TestPreparedOffer:
+    @settings(max_examples=150, deadline=None)
+    @given(edgy_offers(12), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_twin_streams_agree_and_advance_one_draw_per_sample(self, case, seed):
+        inst, assortment = case
+        offer = PreparedOffer(inst, assortment)
+        via_offer, via_function, via_cumsum, counter = (
+            np.random.default_rng(seed) for _ in range(4)
+        )
+        for _ in range(20):
+            out = offer.sample(via_offer)
+            assert out == sample_purchase(inst, assortment, via_function)
+            assert out == cumsum_sample(inst, assortment, via_cumsum)
+            counter.random()
+        assert via_offer.random() == via_function.random() == counter.random()
+
+    def test_holds_indices_and_cumulative_utilities(self):
+        inst = Instance([0.1, 0.2, 0.3], [1.0, 2.0, 4.0])
+        offer = PreparedOffer(inst, (1, 3))
+        assert offer.indices.tolist() == [0, 2]
+        assert offer.cum_utilities.tolist() == [1.0, 5.0]
+
+    def test_rejects_invalid_assortment(self):
+        inst = Instance([0.5, 0.6], [1.0, 1.0])
+        for bad in ((0,), (3,), (2, 1), (1, 1)):
+            with pytest.raises(InvalidAssortmentError):
+                PreparedOffer(inst, bad)
+
+    def test_rejects_offer_of_another_instance(self):
+        inst = Instance([0.5, 0.6], [1.0, 1.0])
+        offer = PreparedOffer(Instance([0.5, 0.6], [1.0, 1.0]), (1,))
+        with pytest.raises(ValueError):
+            sample_purchase(inst, offer, np.random.default_rng(0))
 
 
 class TestLevelSets:
@@ -254,6 +372,56 @@ class TestOptimalAssortment:
         _, level_best = oracle_optimal(inst)
         _, subset_best = brute_force_optimal(inst)
         assert abs(level_best - subset_best) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(edgy_instances(40))
+    def test_best_matches_threshold_loop(self, inst):
+        levels = LevelSetOracle(inst.revenues)
+        assert levels.best(inst.utilities) == loop_best(levels, inst.utilities)
+        assert oracle_optimal(inst) == loop_best(levels, inst.utilities)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edgy_instances(12))
+    def test_best_matches_brute_force_value(self, inst):
+        assortment, value = LevelSetOracle(inst.revenues).best(inst.utilities)
+        _, subset_best = brute_force_optimal(inst)
+        assert abs(value - subset_best) <= 1e-12
+        assert abs(value - expected_revenue(inst, assortment)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(edgy_instances(20))
+    def test_values_are_level_set_revenues(self, inst):
+        levels = LevelSetOracle(inst.revenues)
+        values = levels.values(inst.utilities)
+        assert levels.thresholds.tolist() == sorted(set(inst.revenues.tolist()))
+        for theta, size, value in zip(levels.thresholds, levels.prefix_len, values):
+            assert len(level_set(inst, theta)) == size
+            assert value == pytest.approx(
+                expected_revenue(inst, level_set(inst, theta)), rel=1e-12, abs=1e-15
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(edgy_instances(20), st.data())
+    def test_mask_merge_matches_set_merge(self, inst, data):
+        force = np.array(
+            data.draw(st.lists(st.booleans(), min_size=inst.n, max_size=inst.n)), dtype=bool
+        )
+        policy = UcbPolicy(inst.revenues, 10)
+        best, _ = oracle_optimal(inst)
+        assert policy._plug_in_optimum(inst.utilities, force) == set_sorted_merge(best, force)
+
+    def test_revenues_checked_once_at_construction(self):
+        for bad in ([1.5], [-0.1], [float("nan")], [], [[0.5]]):
+            with pytest.raises(ValueError):
+                LevelSetOracle(bad)
+
+    def test_utilities_checked_on_every_call(self):
+        levels = LevelSetOracle([0.5, 0.6])
+        for bad in ([1.0, -1.0], [1.0, float("inf")], [1.0, float("nan")], [1.0]):
+            with pytest.raises(ValueError):
+                levels.values(bad)
+            with pytest.raises(ValueError):
+                levels.best(bad)
 
     def test_brute_force_cap(self):
         n = BRUTE_FORCE_MAX_ITEMS + 1

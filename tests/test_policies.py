@@ -247,6 +247,12 @@ class TestFactory:
         policy = make_policy("static", [0.5], 10, params={"assortment": (1,)})
         assert policy.next_assortment() == (1,)
 
+    def test_estimator_policies_reject_revenues_outside_unit_interval(self):
+        with pytest.raises(ValueError):
+            UcbPolicy([1.5], 10)
+        with pytest.raises(ValueError):
+            ThompsonPolicy([float("nan")], 10, rng=np.random.default_rng(0))
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_policy("bogus", [0.5], 10)
