@@ -29,9 +29,10 @@ from .harness import (
     run_batch,
     run_episode,
     summaries_to_json,
+    worker_pool,
     write_episode_csv,
 )
-from .policies import POLICY_NAMES
+from .policies import POLICY_NAMES, check_policy_params
 
 __all__ = ["main", "build_parser", "builtin_config"]
 
@@ -187,31 +188,56 @@ def _load_bench_config(name_or_path: str) -> dict:
     if not path.exists():
         raise SystemExit(_CliParser._report(f"no such config: {name_or_path}"))
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"bench config {name_or_path} is not a JSON object")
+    return config
+
+
+def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
+    """Every cell's RunConfig, with its policy params checked against the
+    policy's constructor, so that a bad cell fails before any cell runs."""
+    cells = config.get("cells")
+    if not isinstance(cells, list):
+        raise ValueError("bench config needs a list of cells")
+    generator = config.get("generator", "synthetic")
+    configs = []
+    for k, cell in enumerate(cells):
+        try:
+            rc = RunConfig(
+                policy=cell["policy"],
+                n=cell["n"],
+                horizon=cell["t"],
+                generator=cell.get("generator", generator),
+                policy_params=cell.get("params", {}),
+                replications=replications,
+                master_seed=master_seed,
+            )
+            check_policy_params(rc.policy, rc.policy_params)
+        except KeyError as exc:
+            raise ValueError(f"cell {k} {json.dumps(cell)}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"cell {k} {json.dumps(cell)}: {exc}") from None
+        configs.append(rc)
+    return configs
 
 
 def _cmd_bench(args) -> int:
     config = _load_bench_config(args.config)
     master_seed = args.seed if args.seed is not None else config.get("master_seed", 0)
     replications = args.reps if args.reps is not None else config.get("replications", 20)
-    generator = config.get("generator", "synthetic")
+    configs = _bench_cells(config, master_seed, replications)
     summaries = []
-    for cell in config["cells"]:
-        rc = RunConfig(
-            policy=cell["policy"],
-            n=cell["n"],
-            horizon=cell["t"],
-            generator=cell.get("generator", generator),
-            policy_params=cell.get("params", {}),
-            replications=replications,
-            master_seed=master_seed,
-        )
-        summary = run_batch(rc, workers=max(1, args.parallel))
-        summaries.append(summary)
-        print(
-            f"{summary.policy_name:22s} N={summary.n:5d} T={summary.horizon:6d} "
-            f"mean={summary.mean_regret:8.2f} max={summary.max_regret:8.2f}"
-        )
+    # One pool for every cell; run_batch returns only when all of a cell's
+    # replications have finished, so cells never overlap.
+    with worker_pool(args.parallel) as pool:
+        for rc in configs:
+            summary = run_batch(rc, pool=pool)
+            summaries.append(summary)
+            print(
+                f"{summary.policy_name:22s} N={summary.n:5d} T={summary.horizon:6d} "
+                f"mean={summary.mean_regret:8.2f} max={summary.max_regret:8.2f}"
+            )
     out = _out_dir(args.out)
     (out / "bench_summaries.json").write_text(summaries_to_json(summaries))
     with open(out / "bench_summaries.csv", "w", encoding="utf-8") as fh:
@@ -234,7 +260,7 @@ def _cmd_scaling(args) -> int:
         args.reps,
         args.seed,
         policy_params=_policy_params(args),
-        workers=max(1, args.parallel),
+        workers=args.parallel,
     )
     out = _out_dir(args.out) / f"scaling_{args.policy}_n{args.n}.csv"
     with open(out, "w", encoding="utf-8") as fh:

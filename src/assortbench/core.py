@@ -13,8 +13,8 @@ caller-owned random generator is mutated by sampling.
 
 Two objects keep the simulator's hot paths free of repeated work. A
 ``PreparedOffer`` validates an assortment and sums its utilities once;
-``run_episode`` prepares each distinct offer once per episode, so a
-repeated offer costs O(log |S|) per period. A ``LevelSetOracle`` sorts a
+``run_episode`` prepares and values each distinct offer once per episode,
+so a repeated offer costs O(log |S|) per period. A ``LevelSetOracle`` sorts a
 revenue vector once; each later level-set optimization under new utilities
 costs two cumulative sums.
 """
@@ -188,9 +188,13 @@ def _assortment_indices(instance: Instance, assortment) -> np.ndarray:
 def expected_revenue(instance: Instance, assortment) -> float:
     """Expected revenue of offering ``assortment``: sum(r v) / (1 + sum(v)).
 
-    The empty assortment yields 0.
+    ``assortment`` is an index sequence or a ``PreparedOffer`` built for
+    ``instance``; the latter skips validation. The empty assortment yields 0.
     """
-    idx = _assortment_indices(instance, assortment)
+    if isinstance(assortment, PreparedOffer):
+        idx = _own_offer(instance, assortment).indices
+    else:
+        idx = _assortment_indices(instance, assortment)
     if idx.size == 0:
         return 0.0
     v = instance.utilities[idx]
@@ -245,11 +249,17 @@ class PreparedOffer:
         if scaled < 1.0:
             return PurchaseOutcome(0, 0.0)
         cum = self.cum_utilities
-        pos = int(np.searchsorted(cum, scaled - 1.0, side="right"))
+        pos = int(cum.searchsorted(scaled - 1.0, side="right"))
         if pos >= cum.size:  # float edge at the top of the range
             pos = cum.size - 1
         i = self.indices[pos]
         return PurchaseOutcome(int(i) + 1, float(self.instance.revenues[i]))
+
+
+def _own_offer(instance: Instance, offer: PreparedOffer) -> PreparedOffer:
+    if offer.instance is not instance:
+        raise ValueError("offer was prepared for a different instance")
+    return offer
 
 
 def sample_purchase(instance: Instance, assortment, rng) -> PurchaseOutcome:
@@ -259,9 +269,7 @@ def sample_purchase(instance: Instance, assortment, rng) -> PurchaseOutcome:
     ``instance``; the latter skips validation and the utility sums.
     """
     if isinstance(assortment, PreparedOffer):
-        if assortment.instance is not instance:
-            raise ValueError("offer was prepared for a different instance")
-        return assortment.sample(rng)
+        return _own_offer(instance, assortment).sample(rng)
     return PreparedOffer(instance, assortment).sample(rng)
 
 
@@ -331,20 +339,27 @@ class LevelSetOracle:
         k = self.prefix_len - 1
         return cum_rv[k] / (1.0 + cum_v[k])
 
-    def best(self, utilities):
-        """Best level set under ``utilities`` and its expected revenue.
+    def best_indices(self, utilities):
+        """Best level set under ``utilities`` as ascending 0-based item
+        indices, and its expected revenue.
 
         Ties are broken toward the smallest level set (largest threshold);
-        when no level set earns a positive revenue the empty assortment and
-        0.0 are returned.
+        when no level set earns a positive revenue no index and 0.0 are
+        returned.
         """
         values = self.values(utilities)
         # The first maximum of the reversed values is the largest maximizing
         # threshold.
         i = values.size - 1 - int(np.argmax(values[::-1]))
         if not values[i] > 0.0:
-            return (), 0.0
-        return level_set_from_revenues(self.revenues, self.thresholds[i]), float(values[i])
+            return np.empty(0, dtype=np.intp), 0.0
+        return np.flatnonzero(self.revenues >= self.thresholds[i]), float(values[i])
+
+    def best(self, utilities):
+        """``best_indices`` as an assortment of 1-based items; the empty
+        assortment when no level set earns a positive revenue."""
+        idx, value = self.best_indices(utilities)
+        return tuple((idx + 1).tolist()), value
 
 
 def build_potential_profile(instance: Instance) -> PotentialProfile:

@@ -4,11 +4,14 @@ An episode drives one policy against one instance for exactly T periods
 and records the expected per-period regret against the optimal assortment.
 Batches aggregate independent replications into mean/max/std summaries,
 optionally in parallel; results are independent of worker count because
-every replication owns its seed-derived random streams.
+every replication owns its seed-derived random streams. One process pool
+(``worker_pool``) can serve every batch of a bench run or scaling study, so
+the workers start once rather than once per cell.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -27,6 +30,7 @@ __all__ = [
     "RunConfig",
     "derive_seed",
     "run_episode",
+    "worker_pool",
     "run_batch",
     "regret_scaling_study",
     "write_episode_csv",
@@ -187,11 +191,8 @@ def run_episode(
         if assortment is not previous:
             entry = prepared.get(assortment)
             if entry is None:
-                entry = (
-                    PreparedOffer(instance, assortment),
-                    expected_revenue(instance, assortment),
-                )
-                prepared[assortment] = entry
+                offer = PreparedOffer(instance, assortment)
+                entry = prepared[assortment] = (offer, expected_revenue(instance, offer))
             offer, value = entry
             previous = assortment
         outcome = sample_purchase(instance, offer, customer_rng)
@@ -215,18 +216,31 @@ def _replication_regret(config: RunConfig, replication: int) -> float:
     return log.realized_regret if config.metric == "realized" else log.cumulative_regret
 
 
-def run_batch(config: RunConfig, workers: int = 1) -> AggregateSummary:
+def worker_pool(workers: int):
+    """A context manager holding a pool of ``workers`` processes for
+    ``run_batch``, or None when ``workers`` <= 1 (run serially)."""
+    if workers > 1:
+        return ProcessPoolExecutor(max_workers=workers)
+    return contextlib.nullcontext()
+
+
+def run_batch(config: RunConfig, workers: int = 1, *, pool=None) -> AggregateSummary:
     """Run the configured replications and summarize their regrets.
 
-    With ``workers`` > 1 replications run in parallel processes; results are
-    assembled in replication order, so summaries do not depend on workers.
+    Replications run on ``pool`` when one is given (see ``worker_pool``);
+    otherwise on a pool of ``workers`` processes opened for this batch, or
+    serially when ``workers`` <= 1. Results are assembled in replication
+    order, so summaries do not depend on the workers. Every replication has
+    finished when this returns.
     """
+    if pool is None and workers > 1:
+        with worker_pool(workers) as pool:
+            return run_batch(config, pool=pool)
     reps = range(config.replications)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            regrets = list(pool.map(_replication_regret, [config] * len(reps), reps))
-    else:
+    if pool is None:
         regrets = [_replication_regret(config, k) for k in reps]
+    else:
+        regrets = list(pool.map(_replication_regret, [config] * len(reps), reps))
     arr = np.array(regrets)
     return AggregateSummary(
         policy_name=config.policy,
@@ -259,9 +273,8 @@ def regret_scaling_study(
     horizons = list(horizons)
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
-    rows = []
-    for horizon in horizons:
-        config = RunConfig(
+    configs = [
+        RunConfig(
             policy=policy,
             n=n,
             horizon=horizon,
@@ -269,8 +282,10 @@ def regret_scaling_study(
             replications=replications,
             master_seed=master_seed,
         )
-        summary = run_batch(config, workers=workers)
-        rows.append((horizon, summary.mean_regret))
+        for horizon in horizons
+    ]
+    with worker_pool(workers) as pool:
+        rows = [(c.horizon, run_batch(c, pool=pool).mean_regret) for c in configs]
     means = np.array([m for _, m in rows])
     if len(rows) < 2 or np.any(means <= 0.0):
         return rows, None

@@ -12,12 +12,13 @@ revenue levels, and a static reference policy.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
 
 from .concentration import adaptive_ci, fixed_ci
-from .core import LevelSetOracle, PurchaseOutcome, level_set_from_revenues
+from .core import LevelSetOracle, PurchaseOutcome, _check_revenues, level_set_from_revenues
 from .core import oracle_optimal  # noqa: F401  (perfbench's tracer wraps it by this name)
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "GoldenRatioSearchPolicy",
     "StaticPolicy",
     "make_policy",
+    "check_policy_params",
     "POLICY_NAMES",
     "trisection_inner_budget",
     "adaptive_inner_budget",
@@ -57,6 +59,7 @@ class Policy:
         r = np.array(revenues, dtype=float)
         if r.ndim != 1 or r.size < 1:
             raise ValueError("revenues must be a nonempty vector")
+        _check_revenues(r)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         r.setflags(write=False)
@@ -195,37 +198,40 @@ class _EpochEstimatorPolicy(Policy):
     the policy is built; each epoch's plug-in optimization reuses them.
     """
 
-    def _pick_assortment(self) -> tuple:
+    def _pick_assortment(self):
+        """The next epoch's offer, as ``_plug_in_optimum`` returns it."""
         raise NotImplementedError
 
     def _run(self):
         n = self.revenues.size
-        self._levels = LevelSetOracle(self.revenues)  # raises unless r in [0, 1]
+        self._levels = LevelSetOracle(self.revenues)
         self.epoch_counts = np.zeros(n)  # epochs in which item i was offered
         self.purchase_totals = np.zeros(n)  # purchases of item i across those epochs
         self.epochs_closed = 0
         while True:
-            assortment = self._pick_assortment()
-            idx = np.asarray(assortment, dtype=np.int64) - 1
-            epoch_purchases = np.zeros(n)
+            assortment, idx = self._pick_assortment()
+            bought = []  # 0-based items purchased in this epoch
             while True:
                 outcome = yield assortment
                 if outcome.item == 0:
                     break
-                epoch_purchases[outcome.item - 1] += 1.0
+                bought.append(outcome.item - 1)
             self.epoch_counts[idx] += 1.0
-            self.purchase_totals[idx] += epoch_purchases[idx]
+            totals = self.purchase_totals
+            for i in bought:  # integer-valued floats: exact in any order
+                totals[i] += 1.0
             self.epochs_closed += 1
 
-    def _plug_in_optimum(self, utilities: np.ndarray, force_include: np.ndarray) -> tuple:
+    def _plug_in_optimum(self, utilities: np.ndarray, force_include: np.ndarray):
         """Level-set optimum under estimated utilities, with untried items
-        forced into the offer so they get explored."""
-        assortment, _ = self._levels.best(utilities)
+        forced into the offer so they get explored: (assortment of 1-based
+        items, ascending 0-based index array)."""
+        idx, _ = self._levels.best_indices(utilities)
         if force_include.any():
             merged = force_include.copy()
-            merged[np.asarray(assortment, dtype=np.int64) - 1] = True
-            return tuple((np.flatnonzero(merged) + 1).tolist())
-        return assortment
+            merged[idx] = True
+            idx = np.flatnonzero(merged)
+        return tuple((idx + 1).tolist()), idx
 
 
 # Stand-in utility for items that were never offered; large enough to make
@@ -248,20 +254,16 @@ class UcbPolicy(_EpochEstimatorPolicy):
 
     def utility_ucb(self) -> np.ndarray:
         """Current optimistic utility index (inf for never-offered items)."""
-        tried = self.epoch_counts > 0
-        out = np.full(self.revenues.size, np.inf)
-        if tried.any():
-            t_i = self.epoch_counts[tried]
-            vbar = self.purchase_totals[tried] / t_i
-            log_term = math.log(math.sqrt(self.revenues.size) * (self.epochs_closed + 1) + 1.0)
-            out[tried] = (
-                vbar
-                + self.c1 * np.sqrt(vbar * log_term / t_i)
-                + self.c2 * log_term / t_i
-            )
+        # Every item is indexed with T_i >= 1, then the untried ones are
+        # overwritten: elementwise the same values as indexing only the tried.
+        t_i = np.maximum(self.epoch_counts, 1.0)
+        vbar = self.purchase_totals / t_i
+        log_term = math.log(math.sqrt(self.revenues.size) * (self.epochs_closed + 1) + 1.0)
+        out = vbar + self.c1 * np.sqrt(vbar * log_term / t_i) + self.c2 * log_term / t_i
+        out[self.epoch_counts == 0] = np.inf
         return out
 
-    def _pick_assortment(self) -> tuple:
+    def _pick_assortment(self):
         index = self.utility_ucb()
         untried = ~np.isfinite(index)
         utilities = np.where(untried, _OPTIMISTIC_UTILITY, index)
@@ -281,7 +283,7 @@ class ThompsonPolicy(_EpochEstimatorPolicy):
         self.rng = rng if rng is not None else np.random.default_rng()
         super().__init__(revenues, horizon)
 
-    def _pick_assortment(self) -> tuple:
+    def _pick_assortment(self):
         tried = self.epoch_counts > 0
         utilities = np.ones(self.revenues.size)
         if tried.any():
@@ -304,9 +306,6 @@ class GoldenRatioSearchPolicy(Policy):
     bracket collapses below 1/sqrt(T), the best probe so far is exploited
     for the remaining horizon.
     """
-
-    def __init__(self, revenues, horizon):
-        super().__init__(revenues, horizon)
 
     def _probe(self, theta: float):
         assortment = self._level_set(theta)
@@ -364,31 +363,41 @@ class StaticPolicy(Policy):
             yield self.assortment
 
 
-POLICY_NAMES = (
-    "trisection",
-    "adaptive-trisection",
-    "ucb",
-    "thompson",
-    "grs",
-    "static",
-)
+_POLICY_CLASSES = {
+    "trisection": TrisectionPolicy,
+    "adaptive-trisection": AdaptiveTrisectionPolicy,
+    "ucb": UcbPolicy,
+    "thompson": ThompsonPolicy,
+    "grs": GoldenRatioSearchPolicy,
+    "static": StaticPolicy,
+}
+POLICY_NAMES = tuple(_POLICY_CLASSES)
+
+
+def _policy_class(name: str) -> type:
+    cls = _POLICY_CLASSES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+    return cls
+
+
+def check_policy_params(name: str, params) -> None:
+    """Raise ValueError unless ``name`` is a policy whose constructor takes
+    ``params`` as ``make_policy`` passes them; builds no policy."""
+    cls = _policy_class(name)
+    passed = {"rng": None} if cls is ThompsonPolicy else {}
+    try:
+        inspect.signature(cls).bind(None, 1, **passed, **params)
+    except TypeError as exc:
+        raise ValueError(f"policy {name!r}: {exc}") from None
 
 
 def make_policy(name: str, revenues, horizon: int, *, rng=None, params=None) -> Policy:
     """Build a policy by name with an optional parameter map."""
+    cls = _policy_class(name)
     params = dict(params or {})
-    if name == "trisection":
-        return TrisectionPolicy(revenues, horizon, **params)
-    if name == "adaptive-trisection":
-        return AdaptiveTrisectionPolicy(revenues, horizon, **params)
-    if name == "ucb":
-        return UcbPolicy(revenues, horizon, **params)
-    if name == "thompson":
-        return ThompsonPolicy(revenues, horizon, rng=rng, **params)
-    if name == "grs":
-        return GoldenRatioSearchPolicy(revenues, horizon, **params)
-    if name == "static":
-        if "assortment" not in params:
-            raise ValueError("static policy requires an 'assortment' parameter")
-        return StaticPolicy(revenues, horizon, params["assortment"])
-    raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+    if cls is ThompsonPolicy:
+        return cls(revenues, horizon, rng=rng, **params)
+    if cls is StaticPolicy and "assortment" not in params:
+        raise ValueError("static policy requires an 'assortment' parameter")
+    return cls(revenues, horizon, **params)

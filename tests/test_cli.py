@@ -1,7 +1,9 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from assortbench import harness
 from assortbench.cli import builtin_config, main
 
 
@@ -93,6 +95,48 @@ class TestBench:
             assert code == 0
             outs.append((out / "bench_summaries.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_one_pool_serves_every_cell(self, tmp_path, tiny_config, monkeypatch):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["cells"].append({"policy": "thompson", "n": 10, "t": 60})
+        tiny_config.write_text(json.dumps(cfg))
+        constructed = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                constructed.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}"
+            args = ["bench", "--config", str(tiny_config), "--out", str(out), "--parallel", workers]
+            assert run_cli(args) == 0
+            outs.append((out / "bench_summaries.json").read_bytes())
+        assert constructed == [{"max_workers": 2}]
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "bad_cell, named",
+        [
+            ({"policy": "trisection", "n": 10, "t": 60, "params": {"ci_scale": 0.1}}, "ci_scale"),
+            ({"n": 10, "t": 60}, "'policy'"),
+        ],
+    )
+    def test_bad_cell_fails_before_any_cell_runs(self, tmp_path, tiny_config, capsys, bad_cell, named):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["cells"].append(bad_cell)
+        tiny_config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run_cli(["bench", "--config", str(tiny_config), "--out", str(out), "--parallel", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cell 2 ") and named in lines[0]
+        assert not out.exists()
 
     def test_missing_config_exits_one(self, tmp_path):
         assert run_cli(["bench", "--config", str(tmp_path / "nope.json")]) == 1

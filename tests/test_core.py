@@ -256,6 +256,16 @@ class TestPreparedOffer:
         with pytest.raises(ValueError):
             sample_purchase(inst, offer, np.random.default_rng(0))
 
+    @settings(max_examples=150, deadline=None)
+    @given(edgy_offers(20))
+    def test_expected_revenue_of_offer_equals_tuple_bit_for_bit(self, case):
+        inst, assortment = case
+        offer = PreparedOffer(inst, assortment)
+        assert repr(expected_revenue(inst, offer)) == repr(expected_revenue(inst, assortment))
+        twin = Instance(inst.revenues, inst.utilities)
+        with pytest.raises(ValueError):
+            expected_revenue(twin, offer)
+
 
 class TestLevelSets:
     def test_theta_zero_gives_all_items(self):
@@ -408,7 +418,9 @@ class TestOptimalAssortment:
         )
         policy = UcbPolicy(inst.revenues, 10)
         best, _ = oracle_optimal(inst)
-        assert policy._plug_in_optimum(inst.utilities, force) == set_sorted_merge(best, force)
+        merged, idx = policy._plug_in_optimum(inst.utilities, force)
+        assert merged == set_sorted_merge(best, force)
+        assert idx.tolist() == [i - 1 for i in merged]
 
     def test_revenues_checked_once_at_construction(self):
         for bad in ([1.5], [-0.1], [float("nan")], [], [[0.5]]):

@@ -13,13 +13,28 @@ from assortbench.policies import (
     StaticPolicy,
     ThompsonPolicy,
     TrisectionPolicy,
+    POLICY_NAMES,
     UcbPolicy,
     adaptive_inner_budget,
+    check_policy_params,
     make_policy,
     trisection_inner_budget,
 )
 
 NO_PURCHASE = PurchaseOutcome(0, 0.0)
+
+
+def masked_utility_ucb(policy):
+    """The UCB index as ``UcbPolicy.utility_ucb`` computed it before it
+    indexed every item: gathered over the tried items only."""
+    tried = policy.epoch_counts > 0
+    out = np.full(policy.revenues.size, np.inf)
+    if tried.any():
+        t_i = policy.epoch_counts[tried]
+        vbar = policy.purchase_totals[tried] / t_i
+        log_term = math.log(math.sqrt(policy.revenues.size) * (policy.epochs_closed + 1) + 1.0)
+        out[tried] = vbar + policy.c1 * np.sqrt(vbar * log_term / t_i) + policy.c2 * log_term / t_i
+    return out
 
 
 def drive(policy, instance, periods, seed=0):
@@ -156,6 +171,17 @@ class TestUcb:
         vbar = policy.purchase_totals[tried] / policy.epoch_counts[tried]
         assert np.all(policy.utility_ucb()[tried] >= vbar - 1e-12)
 
+    def test_index_equals_masked_reference_elementwise(self):
+        rng = np.random.default_rng(12)
+        for trial in range(200):
+            n = int(rng.integers(1, 50))
+            policy = UcbPolicy(rng.random(n), 100, c1=float(rng.random() * 10), c2=float(rng.random() * 60))
+            counts = rng.integers(0, 1000, size=n) * (rng.random(n) < trial / 200)
+            policy.epoch_counts = counts.astype(float)
+            policy.purchase_totals = rng.integers(0, 5000, size=n) * (counts > 0).astype(float)
+            policy.epochs_closed = int(counts.max(initial=0)) + int(rng.integers(0, 100))
+            assert np.array_equal(policy.utility_ucb(), masked_utility_ucb(policy))
+
     def test_epoch_counts_unbiased_single_item(self):
         # Per-epoch purchase count of a single item with utility v is
         # geometric with mean v.
@@ -246,6 +272,36 @@ class TestFactory:
             make_policy("static", [0.5], 10)
         policy = make_policy("static", [0.5], 10, params={"assortment": (1,)})
         assert policy.next_assortment() == (1,)
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    @pytest.mark.parametrize("revenues", [[1.5], [-0.1], [float("nan")]])
+    def test_every_policy_rejects_bad_revenues(self, name, revenues):
+        params = {"assortment": (1,)} if name == "static" else {}
+        with pytest.raises(ValueError):
+            make_policy(name, revenues, 10, rng=np.random.default_rng(0), params=params)
+
+    def test_check_policy_params_matches_the_constructors(self):
+        accepted = [
+            ("trisection", {"log_exponent": 3.0}),
+            ("adaptive-trisection", {"ci_scale": 0.1}),
+            ("ucb", {"c1": 1.0, "c2": 2.0}),
+            ("thompson", {}),
+            ("grs", {}),
+            ("static", {"assortment": (1,)}),
+        ]
+        for name, params in accepted:
+            check_policy_params(name, params)
+            make_policy(name, [0.5, 0.7], 10, rng=np.random.default_rng(0), params=params)
+        rejected = [
+            ("trisection", {"ci_scale": 0.1}),
+            ("grs", {"c1": 1.0}),
+            ("thompson", {"rng": None}),
+            ("static", {}),
+            ("bogus", {}),
+        ]
+        for name, params in rejected:
+            with pytest.raises(ValueError):
+                check_policy_params(name, params)
 
     def test_estimator_policies_reject_revenues_outside_unit_interval(self):
         with pytest.raises(ValueError):
