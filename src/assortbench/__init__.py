@@ -2,7 +2,7 @@
 instances and structural oracles, trisection policies and baselines, and a
 seeded benchmark harness with a CLI front end."""
 
-from .concentration import CiScheme, ConfidenceInterval, adaptive_ci, fixed_ci
+from .concentration import ConfidenceInterval, adaptive_ci, fixed_ci
 from .core import (
     Instance,
     InvalidAssortmentError,
@@ -18,12 +18,7 @@ from .core import (
     potential,
     sample_purchase,
 )
-from .generators import (
-    GeneratorSpec,
-    generate_lower_bound,
-    generate_synthetic,
-    lower_bound_tester,
-)
+from .generators import generate_lower_bound, generate_synthetic, lower_bound_tester
 from .harness import (
     AggregateSummary,
     EpisodeLog,

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import concentration, core
-from .generators import generate_lower_bound, generate_synthetic, lower_bound_tester
+from . import core, properties
+from .generators import GENERATOR_NAMES, generate_lower_bound, lower_bound_tester
 from .harness import (
     RunConfig,
     derive_seed,
@@ -32,7 +32,7 @@ from .harness import (
     worker_pool,
     write_episode_csv,
 )
-from .policies import POLICY_NAMES, check_policy_params
+from .policies import POLICY_NAMES, make_policy
 
 __all__ = ["main", "build_parser", "builtin_config"]
 
@@ -63,12 +63,8 @@ def builtin_config(name: str) -> dict:
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self._report(message))
-
-    @staticmethod
-    def _report(message):
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _parse_assortment(text: str) -> tuple:
@@ -97,11 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one episode and write its CSV log")
     common(p_run)
     p_run.add_argument("--t", type=int, default=1000, help="horizon")
-    p_run.add_argument(
-        "--generator",
-        choices=("synthetic", "lower_bound_p0", "lower_bound_p1"),
-        default="synthetic",
-    )
+    p_run.add_argument("--generator", choices=GENERATOR_NAMES, default="synthetic")
     p_run.add_argument(
         "--assortment",
         type=_parse_assortment,
@@ -145,7 +137,7 @@ def _policy_params(args) -> dict:
     params = {}
     if getattr(args, "ci_scale", None) is not None:
         if args.policy != "adaptive-trisection":
-            raise SystemExit(_CliParser._report("--ci-scale only applies to adaptive-trisection"))
+            raise ValueError("--ci-scale only applies to adaptive-trisection")
         params["ci_scale"] = args.ci_scale
     return params
 
@@ -186,7 +178,7 @@ def _load_bench_config(name_or_path: str) -> dict:
         pass
     path = Path(name_or_path)
     if not path.exists():
-        raise SystemExit(_CliParser._report(f"no such config: {name_or_path}"))
+        raise ValueError(f"no such config: {name_or_path}")
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
@@ -195,8 +187,9 @@ def _load_bench_config(name_or_path: str) -> dict:
 
 
 def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
-    """Every cell's RunConfig, with its policy params checked against the
-    policy's constructor, so that a bad cell fails before any cell runs."""
+    """Every cell's RunConfig, each checked by building its policy on zero
+    revenues at the cell's N and T, so that a bad cell fails before any
+    cell runs."""
     cells = config.get("cells")
     if not isinstance(cells, list):
         raise ValueError("bench config needs a list of cells")
@@ -213,7 +206,7 @@ def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
                 replications=replications,
                 master_seed=master_seed,
             )
-            check_policy_params(rc.policy, rc.policy_params)
+            make_policy(rc.policy, np.zeros(rc.n), rc.horizon, params=rc.policy_params)
         except KeyError as exc:
             raise ValueError(f"cell {k} {json.dumps(cell)}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -273,47 +266,8 @@ def _cmd_scaling(args) -> int:
     return 0
 
 
-def _verify_failures(seed: int, instances: int) -> list:
-    """Run the randomized property suites; return failure descriptions."""
-    failures = []
-    rng = np.random.default_rng(seed)
-
-    for k in range(instances):
-        inst_seed = derive_seed(seed, "verify", k)
-        gen = np.random.default_rng(inst_seed)
-        n = int(gen.integers(1, 13))
-        inst = core.Instance(gen.random(n), gen.random(n))
-        profile = core.build_potential_profile(inst)
-        _, brute = core.brute_force_optimal(inst)
-        if abs(profile.f_star - brute) > 1e-12:
-            failures.append(f"level-set optimum != subset optimum (seed {inst_seed})")
-        if abs(core.potential(inst, profile.f_star) - profile.f_star) > 1e-12:
-            failures.append(f"potential fixed point violated (seed {inst_seed})")
-        values = profile.values
-        peak = values.index(max(values))
-        rising = all(a <= b + 1e-12 for a, b in zip(values[:peak], values[1:peak + 1]))
-        falling = all(a >= b - 1e-12 for a, b in zip(values[peak:], values[peak + 1:]))
-        if not (rising and falling):
-            failures.append(f"potential values not unimodal (seed {inst_seed})")
-
-    coverage = concentration.validate_uniform_concentration(
-        concentration.bernoulli_sampler(0.5), 0.5, 100, 1e-4, 10_000, rng
-    )
-    if coverage < 0.99:
-        failures.append(f"uniform concentration coverage {coverage} < 0.99")
-
-    for horizon in (16, 100, 10_000):
-        p0 = generate_lower_bound("P0", 2, horizon)
-        p1 = generate_lower_bound("P1", 2, horizon)
-        for assortment in ((1,), (1, 2)):
-            kl = core.kl_purchase_distributions(p0, p1, assortment)
-            if kl > 1.0 / (18.0 * horizon):
-                failures.append(f"KL bound violated at T={horizon}, S={assortment}")
-    return failures
-
-
 def _cmd_verify(args) -> int:
-    failures = _verify_failures(args.seed, args.instances)
+    failures = properties.failures(args.seed, args.instances)
     if failures:
         for f in failures:
             print(f"FAIL {f}")

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "ConfidenceInterval",
-    "CiScheme",
     "fixed_ci",
     "adaptive_ci",
     "validate_uniform_concentration",
@@ -35,30 +34,6 @@ class ConfidenceInterval:
     upper: float
     count: int
     mean: float
-
-
-@dataclass(frozen=True)
-class CiScheme:
-    """Interval construction choice: kind, failure level delta, and the
-    multiplier inside the square root (2 is the theoretical adaptive value,
-    0.1 the empirically tuned one)."""
-
-    kind: str  # "fixed_level" | "adaptive_level"
-    delta: float
-    scale: float = 2.0
-
-    def __post_init__(self):
-        if self.kind not in ("fixed_level", "adaptive_level"):
-            raise ValueError(f"unknown CI scheme kind: {self.kind!r}")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
-
-    def interval(self, total: float, count: int) -> ConfidenceInterval:
-        if self.kind == "fixed_level":
-            return fixed_ci(total, count, self.delta)
-        return adaptive_ci(total, count, self.delta, self.scale)
 
 
 def _check_accumulator(total: float, count: int) -> float:

@@ -3,8 +3,10 @@
 An instance pairs item revenues with item utilities; the no-purchase
 utility is fixed at 1 and never stored. Expected revenue, purchase
 sampling, revenue level sets, and the piecewise-constant revenue
-potential (with its fixed point, which identifies the optimal
-revenue-ordered assortment) all live here.
+potential all live here. The potential's maximum f* is also its fixed
+point theta* = F(theta*), and it identifies the optimal revenue-ordered
+assortment; ``assortbench.properties`` checks this and the potential's
+other structural properties.
 
 Assortments are strictly increasing tuples of 1-based item indices.
 Instances, prepared offers, level-set oracles and potential profiles are
@@ -21,7 +23,6 @@ costs two cumulative sums.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -124,28 +125,6 @@ class Instance:
     def __repr__(self):
         return f"Instance(n={self.n})"
 
-    def to_dict(self) -> dict:
-        return {
-            "revenues": self.revenues.tolist(),
-            "utilities": self.utilities.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Instance":
-        if not isinstance(payload, dict):
-            raise ValueError("instance payload must be a JSON object")
-        missing = {"revenues", "utilities"} - set(payload)
-        if missing:
-            raise ValueError(f"instance payload missing keys: {sorted(missing)}")
-        return cls(payload["revenues"], payload["utilities"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Instance":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class PotentialProfile:
@@ -153,13 +132,12 @@ class PotentialProfile:
 
     ``values[i]`` is the potential on the interval ending (inclusively) at
     ``jump_points[i]``; ``values[-1]`` applies beyond the last jump point
-    and is always 0. Consecutive values differ, ``f_star`` is the maximum
-    value, and ``theta_star == f_star`` is the fixed point.
+    and is always 0. Consecutive values differ, and ``f_star``, the maximum
+    value, is also the fixed point theta* = F(theta*).
     """
 
     jump_points: tuple
     values: tuple
-    theta_star: float
     f_star: float
 
     def value_at(self, theta: float) -> float:
@@ -392,7 +370,6 @@ def build_potential_profile(instance: Instance) -> PotentialProfile:
     return PotentialProfile(
         jump_points=tuple(jumps),
         values=tuple(values),
-        theta_star=f_star,
         f_star=f_star,
     )
 

@@ -5,56 +5,38 @@
 builds the hard two-item pair P0/P1 whose purchase distributions are nearly
 indistinguishable at horizon T; ``lower_bound_tester`` is the binary
 identity test applied to an episode's assortment sequence.
+``GENERATOR_NAMES`` lists the families that a ``RunConfig`` and
+``assortbench run --generator`` accept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Instance
 
 __all__ = [
-    "GeneratorSpec",
     "generate_synthetic",
     "generate_lower_bound",
     "lower_bound_tester",
     "GENERATOR_NAMES",
 ]
 
-GENERATOR_NAMES = ("synthetic", "lower_bound_p0", "lower_bound_p1", "file")
+# The instance families a RunConfig can draw from.
+GENERATOR_NAMES = ("synthetic", "lower_bound_p0", "lower_bound_p1")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Ranges for the synthetic family. Utility bounds are scales divided
-    by N, so total utility concentrates regardless of item count."""
-
-    revenue_low: float = 0.4
-    revenue_high: float = 0.5
-    utility_scale_low: float = 10.0
-    utility_scale_high: float = 20.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.revenue_low <= self.revenue_high <= 1.0:
-            raise ValueError("revenue range must satisfy 0 <= low <= high <= 1")
-        if not 0.0 <= self.utility_scale_low <= self.utility_scale_high:
-            raise ValueError("utility scales must satisfy 0 <= low <= high")
-
-
-def generate_synthetic(n: int, spec: GeneratorSpec | None = None, seed=None) -> Instance:
-    """Draw an N-item instance: r_i ~ U[rev_low, rev_high] and
-    v_i ~ U[scale_low/N, scale_high/N], i.i.d. per seed."""
+def generate_synthetic(n: int, seed=None) -> Instance:
+    """Draw an N-item instance: r_i ~ U[0.4, 0.5] and v_i ~ U[10/N, 20/N],
+    i.i.d. per seed. The utility bounds scale with 1/N, so the total utility
+    concentrates near 15 whatever the item count."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    spec = spec or GeneratorSpec()
     rng = np.random.default_rng(seed)
-    revenues = rng.uniform(spec.revenue_low, spec.revenue_high, size=n)
-    utilities = rng.uniform(
-        spec.utility_scale_low / n, spec.utility_scale_high / n, size=n
-    )
+    revenues = rng.uniform(0.4, 0.5, size=n)
+    utilities = rng.uniform(10.0 / n, 20.0 / n, size=n)
     return Instance(revenues, utilities)
 
 

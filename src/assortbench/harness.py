@@ -2,6 +2,9 @@
 
 An episode drives one policy against one instance for exactly T periods
 and records the expected per-period regret against the optimal assortment.
+A ``RunConfig`` draws its instance from one of ``GENERATOR_NAMES``: the
+synthetic family, seeded from the master seed, or one side of the hard
+lower-bound pair.
 Batches aggregate independent replications into mean/max/std summaries,
 optionally in parallel; results are independent of worker count because
 every replication owns its seed-derived random streams. One process pool
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Instance, PreparedOffer, expected_revenue, oracle_optimal, sample_purchase
-from .generators import GeneratorSpec, generate_lower_bound, generate_synthetic
+from .generators import GENERATOR_NAMES, generate_lower_bound, generate_synthetic
 from .policies import make_policy
 
 __all__ = [
@@ -51,8 +54,8 @@ class EpisodeLog:
     """Per-period record of one policy run.
 
     ``steps`` holds (period, assortment size, expected revenue of the offer,
-    instantaneous expected regret). Realized rewards are kept separately for
-    the optional realized-regret metric.
+    instantaneous expected regret); ``realized_rewards`` holds the revenue
+    of each period's sampled purchase.
     """
 
     policy_name: str
@@ -69,10 +72,6 @@ class EpisodeLog:
     @property
     def cumulative_regret(self) -> float:
         return sum(s[3] for s in self.steps)
-
-    @property
-    def realized_regret(self) -> float:
-        return self.horizon * self.optimal_value - sum(self.realized_rewards)
 
 
 @dataclass(frozen=True)
@@ -113,20 +112,16 @@ class RunConfig:
     replications: int = 1
     master_seed: int = 0
     redraw_instance: bool = False
-    instance_path: str | None = None
-    metric: str = "expected"
 
     def __post_init__(self):
         if self.n < 1 or self.horizon < 1 or self.replications < 1:
             raise ValueError("n, horizon, and replications must all be >= 1")
-        if self.generator not in ("synthetic", "lower_bound_p0", "lower_bound_p1", "file"):
-            raise ValueError(f"unknown generator {self.generator!r}")
-        if self.generator == "file" and not self.instance_path:
-            raise ValueError("generator 'file' requires instance_path")
+        if self.generator not in GENERATOR_NAMES:
+            raise ValueError(
+                f"unknown generator {self.generator!r}; choose from {GENERATOR_NAMES}"
+            )
         if self.generator.startswith("lower_bound") and self.n < 2:
             raise ValueError("lower-bound generators require n >= 2")
-        if self.metric not in ("expected", "realized"):
-            raise ValueError("metric must be 'expected' or 'realized'")
 
     def to_dict(self) -> dict:
         return {
@@ -138,8 +133,6 @@ class RunConfig:
             "replications": self.replications,
             "master_seed": self.master_seed,
             "redraw_instance": self.redraw_instance,
-            "instance_path": self.instance_path,
-            "metric": self.metric,
         }
 
     @classmethod
@@ -147,9 +140,6 @@ class RunConfig:
         return cls(**data)
 
     def build_instance(self, replication: int = 0) -> Instance:
-        if self.generator == "file":
-            with open(self.instance_path, "r", encoding="utf-8") as fh:
-                return Instance.from_json(fh.read())
         if self.generator in ("lower_bound_p0", "lower_bound_p1"):
             variant = "P0" if self.generator.endswith("p0") else "P1"
             return generate_lower_bound(variant, self.n, self.horizon)
@@ -213,7 +203,7 @@ def _replication_regret(config: RunConfig, replication: int) -> float:
         seed,
         policy_params=config.policy_params,
     )
-    return log.realized_regret if config.metric == "realized" else log.cumulative_regret
+    return log.cumulative_regret
 
 
 def worker_pool(workers: int):

@@ -12,7 +12,6 @@ revenue levels, and a static reference policy.
 
 from __future__ import annotations
 
-import inspect
 import math
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "GoldenRatioSearchPolicy",
     "StaticPolicy",
     "make_policy",
-    "check_policy_params",
     "POLICY_NAMES",
     "trisection_inner_budget",
     "adaptive_inner_budget",
@@ -106,10 +104,14 @@ class Policy:
 
 
 def trisection_inner_budget(gap: float, horizon: int, log_exponent: float = 2.0) -> int:
-    """Inner-iteration count 16 * ceil(gap^-2 * ln(T^log_exponent))."""
+    """Inner-iteration count 16 * ceil(gap^-2 * ln(T^log_exponent)), at least 1.
+
+    The floor applies where ln(T^log_exponent) <= 0, as at T = 1: an epoch
+    without an inner iteration would loop without ever yielding an offer.
+    """
     if gap <= 0.0:
         raise ValueError("gap must be positive")
-    return 16 * math.ceil(gap**-2 * log_exponent * math.log(horizon))
+    return max(1, 16 * math.ceil(gap**-2 * log_exponent * math.log(horizon)))
 
 
 def adaptive_inner_budget(gap: float, horizon: int) -> int:
@@ -136,6 +138,8 @@ class TrisectionPolicy(Policy):
 
     def __init__(self, revenues, horizon, *, log_exponent: float = 2.0):
         self.log_exponent = float(log_exponent)
+        if not self.log_exponent > 0.0:
+            raise ValueError("log_exponent must be positive")
         self.interval_history: list = []
         super().__init__(revenues, horizon)
 
@@ -180,6 +184,8 @@ class AdaptiveTrisectionPolicy(TrisectionPolicy):
 
     def __init__(self, revenues, horizon, *, ci_scale: float = 2.0):
         self.ci_scale = float(ci_scale)
+        if not self.ci_scale > 0.0:
+            raise ValueError("ci_scale must be positive")
         super().__init__(revenues, horizon)
 
     def _inner_budget(self, gap: float) -> int:
@@ -250,6 +256,8 @@ class UcbPolicy(_EpochEstimatorPolicy):
     def __init__(self, revenues, horizon, *, c1: float = math.sqrt(48.0), c2: float = 48.0):
         self.c1 = float(c1)
         self.c2 = float(c2)
+        if not (0.0 <= self.c1 < math.inf and 0.0 <= self.c2 < math.inf):
+            raise ValueError("c1 and c2 must be finite and nonnegative")
         super().__init__(revenues, horizon)
 
     def utility_ucb(self) -> np.ndarray:
@@ -374,27 +382,15 @@ _POLICY_CLASSES = {
 POLICY_NAMES = tuple(_POLICY_CLASSES)
 
 
-def _policy_class(name: str) -> type:
+def make_policy(name: str, revenues, horizon: int, *, rng=None, params=None) -> Policy:
+    """Build a policy by name with an optional parameter map.
+
+    Raises ValueError for an unknown name or a parameter value the policy
+    rejects, and TypeError for a parameter the policy does not take.
+    """
     cls = _POLICY_CLASSES.get(name)
     if cls is None:
         raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
-    return cls
-
-
-def check_policy_params(name: str, params) -> None:
-    """Raise ValueError unless ``name`` is a policy whose constructor takes
-    ``params`` as ``make_policy`` passes them; builds no policy."""
-    cls = _policy_class(name)
-    passed = {"rng": None} if cls is ThompsonPolicy else {}
-    try:
-        inspect.signature(cls).bind(None, 1, **passed, **params)
-    except TypeError as exc:
-        raise ValueError(f"policy {name!r}: {exc}") from None
-
-
-def make_policy(name: str, revenues, horizon: int, *, rng=None, params=None) -> Policy:
-    """Build a policy by name with an optional parameter map."""
-    cls = _policy_class(name)
     params = dict(params or {})
     if cls is ThompsonPolicy:
         return cls(revenues, horizon, rng=rng, **params)

@@ -11,16 +11,10 @@ import json
 import numpy as np
 import pytest
 
+from assortbench import properties
 from assortbench.cli import main as cli_main
-from assortbench.concentration import bernoulli_sampler, validate_uniform_concentration
-from assortbench.core import (
-    Instance,
-    brute_force_optimal,
-    build_potential_profile,
-    kl_purchase_distributions,
-    sample_purchase,
-)
-from assortbench.generators import generate_lower_bound, generate_synthetic
+from assortbench.core import Instance, build_potential_profile, sample_purchase
+from assortbench.generators import generate_synthetic
 from assortbench.harness import RunConfig, derive_seed, regret_scaling_study, run_batch
 from assortbench.policies import make_policy
 
@@ -60,49 +54,27 @@ def _random_instances(count, seed):
 def test_criterion_1_level_set_optimum_matches_subset_optimum():
     worst = 0.0
     for inst in _random_instances(500, 101):
-        profile = build_potential_profile(inst)
-        _, subset_best = brute_force_optimal(inst)
-        worst = max(worst, abs(profile.f_star - subset_best))
-    _criterion(1, "level-set optimum equals subset optimum", worst <= 1e-12,
+        worst = max(worst, properties.optimum_gap(inst, build_potential_profile(inst)))
+    _criterion(1, "level-set optimum equals subset optimum", worst <= properties.TOL,
                f"max gap {worst:.2e}")
 
 
 def test_criterion_2_potential_structure():
     grid = np.linspace(0.0, 1.0, 1000)
-    ok = True
-    for inst in _random_instances(500, 202):
-        profile = build_potential_profile(inst)
-        if abs(profile.value_at(profile.f_star) - profile.f_star) > 1e-12:
-            ok = False
-            break
-        values = np.array([profile.value_at(t) for t in grid])
-        below = grid <= profile.theta_star
-        if np.any(values[below] < grid[below] - 1e-12):
-            ok = False
-            break
-        if np.any(values[~below] > grid[~below] + 1e-12):
-            ok = False
-            break
-        seq = profile.values
-        peak = seq.index(max(seq))
-        rising = all(a <= b + 1e-12 for a, b in zip(seq[:peak], seq[1:peak + 1]))
-        falling = all(a >= b - 1e-12 for a, b in zip(seq[peak:], seq[peak + 1:]))
-        if not (rising and falling):
-            ok = False
-            break
+    profiles = (build_potential_profile(inst) for inst in _random_instances(500, 202))
+    ok = all(
+        properties.profile_is_fixed_point(profile)
+        and properties.geometry_holds(profile, grid)
+        and properties.is_unimodal(profile.values)
+        for profile in profiles
+    )
     _criterion(2, "potential fixed point, monotone geometry, unimodality", ok)
 
 
 def test_criterion_3_kl_bound_on_hard_pair():
-    ok = True
-    for horizon in (16, 100, 10_000):
-        p0 = generate_lower_bound("P0", 2, horizon)
-        p1 = generate_lower_bound("P1", 2, horizon)
-        for assortment in ((1,), (1, 2)):
-            kl = kl_purchase_distributions(p0, p1, assortment)
-            if kl > 1.0 / (18.0 * horizon):
-                ok = False
-    _criterion(3, "KL between hard-pair purchase laws within 1/(18T)", ok)
+    violations = properties.kl_violations((16, 100, 10_000))
+    _criterion(3, "KL between hard-pair purchase laws within 1/(18T)", not violations,
+               f"violations {violations}")
 
 
 def _cell_mean(policy, n, t, params=None, seed=2024):
@@ -168,7 +140,7 @@ def test_criterion_7_trisection_interval_contains_fixed_point():
     runs = 100
     for k in range(runs):
         inst = generate_synthetic(100, seed=derive_seed(707, "instance", k))
-        theta_star = build_potential_profile(inst).theta_star
+        theta_star = build_potential_profile(inst).f_star
         policy = make_policy("trisection", inst.revenues, 1000)
         rng = np.random.default_rng(derive_seed(707, "customer", k))
         for _ in range(1000):
@@ -181,11 +153,9 @@ def test_criterion_7_trisection_interval_contains_fixed_point():
 
 
 def test_criterion_8_uniform_concentration_coverage():
-    coverage = validate_uniform_concentration(
-        bernoulli_sampler(0.5), 0.5, 100, 1e-4, 10_000, np.random.default_rng(808)
-    )
+    coverage = properties.coverage(np.random.default_rng(808))
     _criterion(8, "adaptive-radius coverage at least 0.99",
-               coverage >= 0.99, f"coverage {coverage:.4f}")
+               coverage >= properties.MIN_COVERAGE, f"coverage {coverage:.4f}")
 
 
 def test_criterion_9_benchmark_determinism_across_parallelism(tmp_path):

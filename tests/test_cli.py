@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from assortbench import harness
+from assortbench import core, harness
 from assortbench.cli import builtin_config, main
 
 
@@ -122,6 +123,9 @@ class TestBench:
         [
             ({"policy": "trisection", "n": 10, "t": 60, "params": {"ci_scale": 0.1}}, "ci_scale"),
             ({"n": 10, "t": 60}, "'policy'"),
+            ({"policy": "adaptive-trisection", "n": 10, "t": 60, "params": {"ci_scale": -1}},
+             "ci_scale must be positive"),
+            ({"policy": "static", "n": 10, "t": 60, "params": {"assortment": [11]}}, "out of range"),
         ],
     )
     def test_bad_cell_fails_before_any_cell_runs(self, tmp_path, tiny_config, capsys, bad_cell, named):
@@ -168,6 +172,18 @@ class TestVerify:
     def test_verify_passes_on_small_suite(self, capsys):
         assert run_cli(["verify", "--instances", "30", "--seed", "3"]) == 0
         assert "all properties passed" in capsys.readouterr().out
+
+    def test_verify_fails_when_the_fixed_point_is_off(self, monkeypatch, capsys):
+        build = core.build_potential_profile
+
+        def off_by_1e9(instance):
+            profile = build(instance)
+            return dataclasses.replace(profile, f_star=profile.f_star + 1e-9)
+
+        monkeypatch.setattr(core, "build_potential_profile", off_by_1e9)
+        assert run_cli(["verify", "--instances", "20"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("FAIL ") for line in lines)
 
 
 class TestLowerBound:

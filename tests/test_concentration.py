@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from assortbench.concentration import (
-    CiScheme,
     adaptive_ci,
     bernoulli_sampler,
     constant_sampler,
@@ -86,22 +85,6 @@ class TestAdaptiveCi:
         ]
         clamped = [min(w, 1.0) for w in widths]
         assert all(a >= b - 1e-15 for a, b in zip(clamped, clamped[1:]))
-
-
-class TestCiScheme:
-    def test_dispatch(self):
-        fixed = CiScheme("fixed_level", 0.5)
-        adaptive = CiScheme("adaptive_level", 0.5, scale=0.1)
-        assert fixed.interval(1, 2) == fixed_ci(1, 2, 0.5)
-        assert adaptive.interval(1, 2) == adaptive_ci(1, 2, 0.5, 0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CiScheme("bogus", 0.5)
-        with pytest.raises(ValueError):
-            CiScheme("fixed_level", 0.0)
-        with pytest.raises(ValueError):
-            CiScheme("adaptive_level", 0.5, scale=0.0)
 
 
 class TestUniformConcentration:

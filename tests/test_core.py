@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assortbench import properties
 from assortbench.core import (
     BRUTE_FORCE_MAX_ITEMS,
     Instance,
@@ -136,17 +137,6 @@ class TestInstance:
         inst = Instance([0.5], [1.0])
         with pytest.raises(ValueError):
             inst.revenues[0] = 0.1
-
-    def test_json_round_trip(self):
-        inst = Instance([0.4, 0.5], [0.25, 1.0 / 3.0])
-        again = Instance.from_json(inst.to_json())
-        assert again == inst
-
-    def test_from_dict_rejects_bad_payloads(self):
-        with pytest.raises(ValueError):
-            Instance.from_dict({"revenues": [0.5]})
-        with pytest.raises(ValueError):
-            Instance.from_dict({"revenues": [0.5], "utilities": [-1.0]})
 
 
 class TestExpectedRevenue:
@@ -303,7 +293,7 @@ class TestPotential:
         profile = build_potential_profile(Instance([0.6], [1.0]))
         assert profile.jump_points == (0.6,)
         assert profile.values == pytest.approx((0.3, 0.0), abs=1e-15)
-        assert profile.theta_star == profile.f_star == pytest.approx(0.3, abs=1e-15)
+        assert profile.f_star == pytest.approx(0.3, abs=1e-15)
 
     def test_equal_plateaus_merged(self):
         # (r,v) = (1,1),(0.5,1): both level sets have value 0.5, so the
@@ -311,7 +301,7 @@ class TestPotential:
         profile = build_potential_profile(Instance([1.0, 0.5], [1.0, 1.0]))
         assert profile.jump_points == (1.0,)
         assert profile.values == (0.5, 0.0)
-        assert profile.theta_star == 0.5
+        assert profile.f_star == 0.5
 
     def test_profile_matches_pointwise_potential(self):
         rng = np.random.default_rng(0)
@@ -338,28 +328,18 @@ class TestPotential:
     @settings(max_examples=150, deadline=None)
     @given(small_instances())
     def test_fixed_point(self, inst):
-        profile = build_potential_profile(inst)
-        assert abs(potential(inst, profile.f_star) - profile.f_star) <= 1e-12
+        assert properties.is_fixed_point(inst, build_potential_profile(inst))
 
     @settings(max_examples=150, deadline=None)
     @given(small_instances())
     def test_values_unimodal(self, inst):
-        values = build_potential_profile(inst).values
-        peak = values.index(max(values))
-        assert all(a <= b + 1e-12 for a, b in zip(values[:peak], values[1 : peak + 1]))
-        assert all(a >= b - 1e-12 for a, b in zip(values[peak:], values[peak + 1 :]))
+        assert properties.is_unimodal(build_potential_profile(inst).values)
 
     @settings(max_examples=100, deadline=None)
     @given(small_instances())
     def test_monotone_geometry_around_fixed_point(self, inst):
-        profile = build_potential_profile(inst)
         grid = np.linspace(0.0, 1.0, 101)
-        vals = [profile.value_at(t) for t in grid]
-        for theta, f in zip(grid, vals):
-            if theta <= profile.theta_star:
-                assert f >= theta - 1e-12
-            else:
-                assert f <= theta + 1e-12
+        assert properties.geometry_holds(build_potential_profile(inst), grid)
 
 
 class TestOptimalAssortment:

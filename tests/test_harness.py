@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from assortbench.core import oracle_optimal
-from assortbench.generators import (
-    GeneratorSpec,
-    generate_lower_bound,
-    generate_synthetic,
-    lower_bound_tester,
-)
+from assortbench.generators import generate_lower_bound, generate_synthetic, lower_bound_tester
 from assortbench.harness import (
     RunConfig,
     derive_seed,
@@ -38,12 +33,6 @@ class TestGenerators:
         for seed in range(20):
             _, value = oracle_optimal(generate_synthetic(1000, seed=seed))
             assert 0.42 < value < 0.43
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorSpec(revenue_low=0.6, revenue_high=0.5)
-        with pytest.raises(ValueError):
-            GeneratorSpec(utility_scale_low=-1.0)
 
     def test_lower_bound_construction(self):
         p1 = generate_lower_bound("P1", 4, 100)
@@ -132,13 +121,6 @@ class TestRunBatch:
             redraw_instance=True,
         )
         assert redraw.build_instance(0) != redraw.build_instance(2)
-
-    def test_realized_metric(self):
-        config = RunConfig(
-            policy="grs", n=15, horizon=50, replications=2, master_seed=8, metric="realized"
-        )
-        summary = run_batch(config)
-        assert len(summary.regrets) == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

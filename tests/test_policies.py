@@ -16,7 +16,6 @@ from assortbench.policies import (
     POLICY_NAMES,
     UcbPolicy,
     adaptive_inner_budget,
-    check_policy_params,
     make_policy,
     trisection_inner_budget,
 )
@@ -91,6 +90,16 @@ class TestProtocol:
             TrisectionPolicy([], 10)
         with pytest.raises(ValueError):
             TrisectionPolicy([0.5], 0)
+
+    @pytest.mark.parametrize("name", ["trisection", "adaptive-trisection"])
+    def test_one_period_horizon_offers_once(self, name):
+        # ln 1 = 0; a zero budget would make the policy loop without an offer.
+        assert trisection_inner_budget(1.0 / 3.0, 1) >= 1
+        policy = make_policy(name, [0.2, 0.9], 1)
+        policy.next_assortment()
+        policy.observe(NO_PURCHASE)
+        with pytest.raises(HorizonExhaustedError):
+            policy.next_assortment()
 
 
 class TestTrisection:
@@ -285,23 +294,31 @@ class TestFactory:
             ("trisection", {"log_exponent": 3.0}),
             ("adaptive-trisection", {"ci_scale": 0.1}),
             ("ucb", {"c1": 1.0, "c2": 2.0}),
+            ("ucb", {"c1": 0.0, "c2": 0.0}),
             ("thompson", {}),
             ("grs", {}),
             ("static", {"assortment": (1,)}),
         ]
         for name, params in accepted:
-            check_policy_params(name, params)
             make_policy(name, [0.5, 0.7], 10, rng=np.random.default_rng(0), params=params)
         rejected = [
             ("trisection", {"ci_scale": 0.1}),
             ("grs", {"c1": 1.0}),
             ("thompson", {"rng": None}),
             ("static", {}),
+            ("static", {"assortment": (3,)}),
             ("bogus", {}),
+            ("trisection", {"log_exponent": 0.0}),
+            ("trisection", {"log_exponent": -1.0}),
+            ("adaptive-trisection", {"ci_scale": 0.0}),
+            ("adaptive-trisection", {"ci_scale": -1.0}),
+            ("adaptive-trisection", {"ci_scale": float("nan")}),
+        ] + [
+            ("ucb", {key: bad}) for key in ("c1", "c2") for bad in (-1.0, math.inf, math.nan)
         ]
         for name, params in rejected:
-            with pytest.raises(ValueError):
-                check_policy_params(name, params)
+            with pytest.raises((TypeError, ValueError)):
+                make_policy(name, [0.5, 0.7], 10, rng=np.random.default_rng(0), params=params)
 
     def test_estimator_policies_reject_revenues_outside_unit_interval(self):
         with pytest.raises(ValueError):
