@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -77,12 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="assortbench", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, policy=True):
-        if policy:
-            p.add_argument("--policy", choices=POLICY_NAMES, default="adaptive-trisection")
+    def common(p):
+        p.add_argument("--policy", choices=POLICY_NAMES, default="adaptive-trisection")
         p.add_argument("--n", type=int, default=100, help="number of items")
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument(
             "--ci-scale",
             type=float,
@@ -92,13 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one episode and write its CSV log")
     common(p_run)
+    p_run.add_argument("--out", type=Path, default=None, help="output directory")
     p_run.add_argument("--t", type=int, default=1000, help="horizon")
     p_run.add_argument("--generator", choices=GENERATOR_NAMES, default="synthetic")
     p_run.add_argument(
         "--assortment",
         type=_parse_assortment,
         default=None,
-        help="comma-separated item ids for the static policy ('oracle' resolves them)",
+        help="comma-separated item ids for the static policy (default: the oracle's optimum)",
     )
 
     p_bench = sub.add_parser("bench", help="run a grid of cells from a config")
@@ -110,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scale = sub.add_parser("scaling", help="regret scaling across horizons")
     common(p_scale)
+    p_scale.add_argument("--out", type=Path, default=None, help="output directory")
     p_scale.add_argument("--t", default="1000,4000,16000", help="comma-separated horizons")
     p_scale.add_argument("--reps", type=int, default=20)
     p_scale.add_argument("--parallel", type=int, default=1)
@@ -127,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(arg) -> Path:
-    env = os.environ.get("ASSORT_BENCH_OUT")
-    path = Path(env) if env else (arg if arg is not None else Path.cwd())
+    path = arg if arg is not None else Path.cwd()
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -144,6 +142,8 @@ def _policy_params(args) -> dict:
 
 def _cmd_run(args) -> int:
     params = _policy_params(args)
+    if args.assortment is not None and args.policy != "static":
+        raise ValueError("--assortment only applies to static")
     config = RunConfig(
         policy=args.policy,
         n=args.n,

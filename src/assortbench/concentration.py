@@ -1,6 +1,5 @@
-"""Confidence intervals for mean rewards in [0, 1], plus Monte Carlo
-validators for the uniform and maximal concentration inequalities they
-rely on.
+"""Confidence intervals for mean rewards in [0, 1], plus a Monte Carlo
+check of the uniform concentration inequality behind the adaptive ones.
 
 Two interval families are provided: a fixed-level Hoeffding interval and
 an adaptive-level interval whose effective failure probability grows with
@@ -20,9 +19,6 @@ __all__ = [
     "fixed_ci",
     "adaptive_ci",
     "validate_uniform_concentration",
-    "validate_maximal_inequality",
-    "bernoulli_sampler",
-    "constant_sampler",
 ]
 
 
@@ -80,88 +76,25 @@ def adaptive_ci(
     return _clamp(mean, half_width, count)
 
 
-def bernoulli_sampler(p: float):
-    """Sampler closure for Bernoulli(p) draws, usable by the validators."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-
-    def sample(rng, shape):
-        return (rng.random(shape) < p).astype(float)
-
-    return sample
-
-
-def constant_sampler(value: float):
-    """Degenerate sampler X == value."""
-
-    def sample(rng, shape):
-        return np.full(shape, float(value))
-
-    return sample
-
-
-def _draw_bounded(sampler, rng, shape, bounds):
-    lo, hi = bounds
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        raise ValueError("bounds must be a finite interval (lo, hi) with lo < hi")
-    draws = np.asarray(sampler(rng, shape), dtype=float)
-    if draws.shape != shape:
-        raise ValueError("sampler returned an array of the wrong shape")
-    if not np.all(np.isfinite(draws)) or draws.min() < lo or draws.max() > hi:
-        raise ValueError("unbounded sampler: draws escape the declared bounds")
-    return draws
-
-
 def validate_uniform_concentration(
-    sampler,
-    mean: float,
-    depth: int,
-    delta: float,
-    trials: int,
-    rng,
-    bounds=(0.0, 1.0),
+    p: float, depth: int, delta: float, trials: int, rng
 ) -> float:
     """Fraction of trials where the adaptive-level radius covers the running
-    mean simultaneously at every sample count 1..depth.
+    mean of Bernoulli(p) draws simultaneously at every sample count
+    1..depth.
 
-    The guarantee is coverage >= 1 - depth * delta. ``sampler(rng, shape)``
-    must return draws inside ``bounds`` with the stated mean.
+    The guarantee is coverage >= 1 - depth * delta.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    draws = _draw_bounded(sampler, rng, (trials, depth), bounds)
+    draws = (rng.random((trials, depth)) < p).astype(float)
     counts = np.arange(1, depth + 1, dtype=float)
     running_means = np.cumsum(draws, axis=1) / counts
-    span = bounds[1] - bounds[0]
     log_terms = np.maximum(np.log(8.0 / (delta * counts)), 0.0)
-    radii = np.sqrt(2.0 * span * span * log_terms / counts)
-    covered = np.all(np.abs(running_means - mean) <= radii, axis=1)
+    radii = np.sqrt(2.0 * log_terms / counts)
+    covered = np.all(np.abs(running_means - p) <= radii, axis=1)
     return float(covered.mean())
-
-
-def validate_maximal_inequality(
-    sampler,
-    mean: float,
-    n: int,
-    threshold: float,
-    trials: int,
-    rng,
-    bounds=(0.0, 1.0),
-) -> float:
-    """Empirical Pr[exists i <= n : X_1 + ... + X_i >= i mean + threshold].
-
-    Hoeffding's maximal inequality bounds this by exp(-2 t^2 / (n (b-a)^2)).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
-    draws = _draw_bounded(sampler, rng, (trials, n), bounds)
-    partial_sums = np.cumsum(draws, axis=1)
-    deviations = partial_sums - np.arange(1, n + 1) * mean
-    exceeded = np.any(deviations >= threshold, axis=1)
-    return float(exceeded.mean())

@@ -46,7 +46,6 @@ __all__ = [
     "oracle_optimal",
     "brute_force_optimal",
     "kl_purchase_distributions",
-    "kl_quadratic_bound",
     "BRUTE_FORCE_MAX_ITEMS",
 ]
 
@@ -421,21 +420,4 @@ def kl_purchase_distributions(p0: Instance, p1: Instance, assortment) -> float:
         if qj == 0.0:
             raise ValueError("KL undefined: outcome impossible under second instance")
         total += pj * math.log(pj / qj)
-    return total
-
-
-def kl_quadratic_bound(p0: Instance, p1: Instance, assortment) -> float:
-    """Quadratic upper bound sum((p_j - q_j)^2 / q_j) on the same KL."""
-    if p0.n != p1.n:
-        raise ValueError("instances must share the same number of items")
-    p = choice_probabilities(p0, assortment)
-    q = choice_probabilities(p1, assortment)
-    total = 0.0
-    for pj, qj in zip(p, q):
-        eps = pj - qj
-        if eps == 0.0:
-            continue
-        if qj == 0.0:
-            raise ValueError("bound undefined: outcome impossible under second instance")
-        total += eps * eps / qj
     return total

@@ -123,22 +123,6 @@ class RunConfig:
         if self.generator.startswith("lower_bound") and self.n < 2:
             raise ValueError("lower-bound generators require n >= 2")
 
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "n": self.n,
-            "horizon": self.horizon,
-            "generator": self.generator,
-            "policy_params": dict(self.policy_params),
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "redraw_instance": self.redraw_instance,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
-
     def build_instance(self, replication: int = 0) -> Instance:
         if self.generator in ("lower_bound_p0", "lower_bound_p1"):
             variant = "P0" if self.generator.endswith("p0") else "P1"

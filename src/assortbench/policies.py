@@ -13,6 +13,7 @@ revenue levels, and a static reference policy.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -86,10 +87,6 @@ class Policy:
         self._awaiting_observe = False
         self._pending = self._gen.send(outcome)
 
-    @property
-    def offers_emitted(self) -> int:
-        return self._offers
-
     # -- helpers ----------------------------------------------------------
 
     def _level_set(self, theta: float) -> tuple:
@@ -103,15 +100,15 @@ class Policy:
         raise NotImplementedError
 
 
-def trisection_inner_budget(gap: float, horizon: int, log_exponent: float = 2.0) -> int:
-    """Inner-iteration count 16 * ceil(gap^-2 * ln(T^log_exponent)), at least 1.
+def trisection_inner_budget(gap: float, horizon: int) -> int:
+    """Inner-iteration count 16 * ceil(gap^-2 * ln(T^2)), at least 1.
 
-    The floor applies where ln(T^log_exponent) <= 0, as at T = 1: an epoch
-    without an inner iteration would loop without ever yielding an offer.
+    The floor applies where ln(T^2) <= 0, as at T = 1: an epoch without an
+    inner iteration would loop without ever yielding an offer.
     """
     if gap <= 0.0:
         raise ValueError("gap must be positive")
-    return max(1, 16 * math.ceil(gap**-2 * log_exponent * math.log(horizon)))
+    return max(1, 16 * math.ceil(gap**-2 * 2.0 * math.log(horizon)))
 
 
 def adaptive_inner_budget(gap: float, horizon: int) -> int:
@@ -136,15 +133,12 @@ class TrisectionPolicy(Policy):
     ``interval_history`` records (a, b) at the start of every epoch.
     """
 
-    def __init__(self, revenues, horizon, *, log_exponent: float = 2.0):
-        self.log_exponent = float(log_exponent)
-        if not self.log_exponent > 0.0:
-            raise ValueError("log_exponent must be positive")
+    def __init__(self, revenues, horizon):
         self.interval_history: list = []
         super().__init__(revenues, horizon)
 
     def _inner_budget(self, gap: float) -> int:
-        return trisection_inner_budget(gap, self.horizon, self.log_exponent)
+        return trisection_inner_budget(gap, self.horizon)
 
     def _make_ci(self, total: float, count: int):
         return fixed_ci(total, count, 1.0 / self.horizon**2)
@@ -250,15 +244,12 @@ class UcbPolicy(_EpochEstimatorPolicy):
 
     Optimistic index: vbar + c1 sqrt(vbar ln(sqrt(N) l + 1) / T_i)
     + c2 ln(sqrt(N) l + 1) / T_i, where T_i counts epochs containing item i
-    and l is the current epoch number. Defaults c1 = sqrt(48), c2 = 48.
+    and l is the current epoch number, with Agrawal et al.'s constants
+    c1 = sqrt(48) and c2 = 48.
     """
 
-    def __init__(self, revenues, horizon, *, c1: float = math.sqrt(48.0), c2: float = 48.0):
-        self.c1 = float(c1)
-        self.c2 = float(c2)
-        if not (0.0 <= self.c1 < math.inf and 0.0 <= self.c2 < math.inf):
-            raise ValueError("c1 and c2 must be finite and nonnegative")
-        super().__init__(revenues, horizon)
+    C1 = math.sqrt(48.0)
+    C2 = 48.0
 
     def utility_ucb(self) -> np.ndarray:
         """Current optimistic utility index (inf for never-offered items)."""
@@ -267,7 +258,7 @@ class UcbPolicy(_EpochEstimatorPolicy):
         t_i = np.maximum(self.epoch_counts, 1.0)
         vbar = self.purchase_totals / t_i
         log_term = math.log(math.sqrt(self.revenues.size) * (self.epochs_closed + 1) + 1.0)
-        out = vbar + self.c1 * np.sqrt(vbar * log_term / t_i) + self.c2 * log_term / t_i
+        out = vbar + self.C1 * np.sqrt(vbar * log_term / t_i) + self.C2 * log_term / t_i
         out[self.epoch_counts == 0] = np.inf
         return out
 
@@ -358,7 +349,10 @@ class StaticPolicy(Policy):
     """Always offers one fixed assortment (reference policy)."""
 
     def __init__(self, revenues, horizon, assortment):
-        items = tuple(int(i) for i in assortment)
+        items = tuple(assortment)
+        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in items):
+            raise ValueError("assortment indices must be integers")
+        items = tuple(int(i) for i in items)
         if any(items[k] >= items[k + 1] for k in range(len(items) - 1)):
             raise ValueError("assortment indices must be strictly increasing")
         if items and (items[0] < 1 or items[-1] > len(revenues)):

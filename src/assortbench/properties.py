@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .concentration import bernoulli_sampler, validate_uniform_concentration
+from .concentration import validate_uniform_concentration
 from .generators import generate_lower_bound
 from .harness import derive_seed
 
@@ -86,9 +86,7 @@ def kl_violations(horizons) -> list:
 def coverage(rng) -> float:
     """Fraction of 10,000 trials in which the adaptive radius at delta=1e-4
     covers a Bernoulli(1/2) running mean at every count up to 100."""
-    return validate_uniform_concentration(
-        bernoulli_sampler(0.5), 0.5, 100, 1e-4, 10_000, rng
-    )
+    return validate_uniform_concentration(0.5, 100, 1e-4, 10_000, rng)
 
 
 def failures(seed: int, instances: int) -> list:

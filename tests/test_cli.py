@@ -58,6 +58,16 @@ class TestRun:
         )
         assert code == 1
 
+    def test_assortment_on_wrong_policy_exits_one(self, tmp_path, capsys):
+        code = run_cli(
+            ["run", "--policy", "ucb", "--assortment", "1,2", "--n", "5", "--t", "10",
+             "--out", str(tmp_path)]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: --assortment only applies to static"]
+        assert not list(tmp_path.iterdir())
+
 
 class TestBench:
     @pytest.fixture
@@ -126,6 +136,8 @@ class TestBench:
             ({"policy": "adaptive-trisection", "n": 10, "t": 60, "params": {"ci_scale": -1}},
              "ci_scale must be positive"),
             ({"policy": "static", "n": 10, "t": 60, "params": {"assortment": [11]}}, "out of range"),
+            ({"policy": "static", "n": 10, "t": 60, "params": {"assortment": [1.7]}},
+             "must be integers"),
         ],
     )
     def test_bad_cell_fails_before_any_cell_runs(self, tmp_path, tiny_config, capsys, bad_cell, named):
@@ -187,21 +199,11 @@ class TestVerify:
 
 
 class TestLowerBound:
-    def test_diagnostics_run(self, tmp_path, capsys):
+    def test_diagnostics_run(self, capsys):
         code = run_cli(
-            ["lower-bound", "--policy", "grs", "--n", "2", "--t", "64",
-             "--reps", "2", "--out", str(tmp_path)]
+            ["lower-bound", "--policy", "grs", "--n", "2", "--t", "64", "--reps", "2"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "KL(P0||P1)" in out
         assert "tester output 0" in out
-
-
-class TestEnvOverride:
-    def test_out_env_var(self, tmp_path, monkeypatch):
-        target = tmp_path / "env_out"
-        monkeypatch.setenv("ASSORT_BENCH_OUT", str(target))
-        code = run_cli(["run", "--policy", "grs", "--n", "5", "--t", "20"])
-        assert code == 0
-        assert list(target.glob("episode_grs_*.csv"))

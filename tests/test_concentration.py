@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from assortbench.concentration import (
-    adaptive_ci,
-    bernoulli_sampler,
-    constant_sampler,
-    fixed_ci,
-    validate_maximal_inequality,
-    validate_uniform_concentration,
-)
+from assortbench.concentration import adaptive_ci, fixed_ci, validate_uniform_concentration
 
 
 class TestFixedCi:
@@ -90,64 +83,22 @@ class TestAdaptiveCi:
 class TestUniformConcentration:
     def test_degenerate_sampler_full_coverage(self):
         rng = np.random.default_rng(0)
-        cov = validate_uniform_concentration(
-            constant_sampler(0.3), 0.3, 50, 0.01, 1000, rng
-        )
+        cov = validate_uniform_concentration(1.0, 50, 0.01, 1000, rng)
         assert cov == 1.0
 
     def test_bernoulli_half(self):
         rng = np.random.default_rng(1)
-        cov = validate_uniform_concentration(
-            bernoulli_sampler(0.5), 0.5, 100, 1e-4, 10_000, rng
-        )
+        cov = validate_uniform_concentration(0.5, 100, 1e-4, 10_000, rng)
         assert cov >= 0.99
 
     def test_bernoulli_skewed(self):
         rng = np.random.default_rng(2)
-        cov = validate_uniform_concentration(
-            bernoulli_sampler(0.1), 0.1, 1000, 1e-5, 10_000, rng
-        )
+        cov = validate_uniform_concentration(0.1, 1000, 1e-5, 10_000, rng)
         assert cov >= 0.99
 
-    def test_unbounded_sampler_rejected(self):
-        rng = np.random.default_rng(3)
-
-        def unbounded(r, shape):
-            return r.normal(size=shape)
-
+    @pytest.mark.parametrize(
+        "p, depth, trials", [(1.5, 10, 10), (-0.1, 10, 10), (0.5, 0, 10), (0.5, 10, 0)]
+    )
+    def test_bad_arguments_rejected(self, p, depth, trials):
         with pytest.raises(ValueError):
-            validate_uniform_concentration(unbounded, 0.0, 10, 0.01, 1000, rng)
-
-
-class TestMaximalInequality:
-    def test_impossible_threshold(self):
-        rng = np.random.default_rng(4)
-        frac = validate_maximal_inequality(
-            bernoulli_sampler(0.5), 0.5, 20, 20.0, 1000, rng
-        )
-        assert frac == 0.0
-
-    def test_large_threshold(self):
-        rng = np.random.default_rng(5)
-        trials = 100_000
-        frac = validate_maximal_inequality(
-            bernoulli_sampler(0.5), 0.5, 100, 20.0, trials, rng
-        )
-        bound = math.exp(-8.0)
-        slack = 3.0 * math.sqrt(bound * (1 - bound) / trials)
-        assert frac <= bound + slack
-
-    def test_moderate_threshold(self):
-        rng = np.random.default_rng(6)
-        trials = 100_000
-        frac = validate_maximal_inequality(
-            bernoulli_sampler(0.5), 0.5, 100, 5.0, trials, rng
-        )
-        bound = math.exp(-0.5)
-        slack = 3.0 * math.sqrt(bound * (1 - bound) / trials)
-        assert frac <= bound + slack
-
-    def test_nonpositive_threshold_rejected(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(ValueError):
-            validate_maximal_inequality(bernoulli_sampler(0.5), 0.5, 10, 0.0, 10, rng)
+            validate_uniform_concentration(p, depth, 0.01, trials, np.random.default_rng(3))

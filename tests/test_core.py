@@ -18,7 +18,6 @@ from assortbench.core import (
     choice_probabilities,
     expected_revenue,
     kl_purchase_distributions,
-    kl_quadratic_bound,
     level_set,
     level_set_from_revenues,
     oracle_optimal,
@@ -325,6 +324,15 @@ class TestPotential:
                     profile.values[i], abs=1e-12
                 )
 
+    def test_value_at_jump_points_with_tied_revenues(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            n = int(rng.integers(2, 10))
+            inst = Instance(rng.integers(1, 5, size=n) / 4.0, rng.random(n))
+            profile = build_potential_profile(inst)
+            for s in profile.jump_points:
+                assert abs(profile.value_at(s) - potential(inst, s)) <= 1e-12
+
     @settings(max_examples=150, deadline=None)
     @given(small_instances())
     def test_fixed_point(self, inst):
@@ -454,13 +462,3 @@ class TestKlDivergence:
         p1 = Instance([0.5], [0.0])
         with pytest.raises(ValueError):
             kl_purchase_distributions(p0, p1, (1,))
-
-    def test_quadratic_bound_dominates_kl(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            n = int(rng.integers(1, 8))
-            p0 = Instance(rng.random(n), rng.random(n) + 0.01)
-            p1 = Instance(p0.revenues, rng.random(n) + 0.01)
-            full = tuple(range(1, n + 1))
-            kl = kl_purchase_distributions(p0, p1, full)
-            assert kl <= kl_quadratic_bound(p0, p1, full) + 1e-12

@@ -132,17 +132,6 @@ class TestRunBatch:
         with pytest.raises(ValueError):
             RunConfig(policy="grs", n=5, horizon=10, generator="file")
 
-    def test_config_round_trip(self):
-        config = RunConfig(
-            policy="adaptive-trisection",
-            n=100,
-            horizon=500,
-            policy_params={"ci_scale": 0.1},
-            replications=20,
-            master_seed=42,
-        )
-        assert RunConfig.from_dict(config.to_dict()) == config
-
 
 class TestScalingStudy:
     def test_oracle_policy_has_undefined_exponent(self):

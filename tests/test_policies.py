@@ -32,7 +32,7 @@ def masked_utility_ucb(policy):
         t_i = policy.epoch_counts[tried]
         vbar = policy.purchase_totals[tried] / t_i
         log_term = math.log(math.sqrt(policy.revenues.size) * (policy.epochs_closed + 1) + 1.0)
-        out[tried] = vbar + policy.c1 * np.sqrt(vbar * log_term / t_i) + policy.c2 * log_term / t_i
+        out[tried] = vbar + policy.C1 * np.sqrt(vbar * log_term / t_i) + policy.C2 * log_term / t_i
     return out
 
 
@@ -83,7 +83,6 @@ class TestProtocol:
             policy.observe(NO_PURCHASE)
         with pytest.raises(HorizonExhaustedError):
             policy.next_assortment()
-        assert policy.offers_emitted == 3
 
     def test_construction_validation(self):
         with pytest.raises(ValueError):
@@ -184,7 +183,7 @@ class TestUcb:
         rng = np.random.default_rng(12)
         for trial in range(200):
             n = int(rng.integers(1, 50))
-            policy = UcbPolicy(rng.random(n), 100, c1=float(rng.random() * 10), c2=float(rng.random() * 60))
+            policy = UcbPolicy(rng.random(n), 100)
             counts = rng.integers(0, 1000, size=n) * (rng.random(n) < trial / 200)
             policy.epoch_counts = counts.astype(float)
             policy.purchase_totals = rng.integers(0, 5000, size=n) * (counts > 0).astype(float)
@@ -291,13 +290,13 @@ class TestFactory:
 
     def test_check_policy_params_matches_the_constructors(self):
         accepted = [
-            ("trisection", {"log_exponent": 3.0}),
+            ("trisection", {}),
             ("adaptive-trisection", {"ci_scale": 0.1}),
-            ("ucb", {"c1": 1.0, "c2": 2.0}),
-            ("ucb", {"c1": 0.0, "c2": 0.0}),
+            ("ucb", {}),
             ("thompson", {}),
             ("grs", {}),
             ("static", {"assortment": (1,)}),
+            ("static", {"assortment": (np.int64(1), np.int32(2))}),
         ]
         for name, params in accepted:
             make_policy(name, [0.5, 0.7], 10, rng=np.random.default_rng(0), params=params)
@@ -307,14 +306,15 @@ class TestFactory:
             ("thompson", {"rng": None}),
             ("static", {}),
             ("static", {"assortment": (3,)}),
+            ("static", {"assortment": (1.7,)}),
+            ("static", {"assortment": (True,)}),
             ("bogus", {}),
-            ("trisection", {"log_exponent": 0.0}),
-            ("trisection", {"log_exponent": -1.0}),
+            ("trisection", {"log_exponent": 2.0}),
             ("adaptive-trisection", {"ci_scale": 0.0}),
             ("adaptive-trisection", {"ci_scale": -1.0}),
             ("adaptive-trisection", {"ci_scale": float("nan")}),
-        ] + [
-            ("ucb", {key: bad}) for key in ("c1", "c2") for bad in (-1.0, math.inf, math.nan)
+            ("ucb", {"c1": math.sqrt(48.0)}),
+            ("ucb", {"c2": 48.0}),
         ]
         for name, params in rejected:
             with pytest.raises((TypeError, ValueError)):
