@@ -67,9 +67,9 @@ def adaptive_ci(
     policies' operating range), giving a degenerate zero-width interval.
     """
     mean = _check_accumulator(total, count)
-    if delta <= 0.0:
+    if not delta > 0.0:  # also rejects NaN
         raise ValueError("delta must be positive")
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ValueError("scale must be positive")
     log_arg = 8.0 / (delta * count)
     half_width = math.sqrt(scale * math.log(log_arg) / count) if log_arg > 1.0 else 0.0

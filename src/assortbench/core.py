@@ -18,7 +18,7 @@ Two objects keep the simulator's hot paths free of repeated work. A
 ``run_episode`` prepares and values each distinct offer once per episode,
 so a repeated offer costs O(log |S|) per period. A ``LevelSetOracle`` sorts a
 revenue vector once; each later level-set optimization under new utilities
-costs two cumulative sums.
+is one pass of two cumulative sums over the revenue-sorted prefixes.
 """
 
 from __future__ import annotations
@@ -275,7 +275,8 @@ class LevelSetOracle:
     the distinct revenues (ascending) as thresholds, and for each threshold
     s the size of its level set {i : r_i >= s}, which is a prefix of the
     descending order. Evaluating every level set under new utilities then
-    costs two cumulative sums instead of a sort.
+    costs one gather and two cumulative sums instead of a sort, and the
+    best level set is read off the same pass.
     """
 
     def __init__(self, revenues):
@@ -288,22 +289,24 @@ class LevelSetOracle:
         # Last position of each distinct revenue in the descending order gives
         # the prefix length of its level set.
         distinct_desc, counts = np.unique(-r_desc, return_counts=True)
+        sizes = np.cumsum(counts)  # level-set sizes, largest threshold first
         thresholds = -distinct_desc[::-1]  # ascending distinct revenues
-        prefix_len = np.cumsum(counts)[::-1]  # aligned with thresholds: |{r >= s}|
-        for a in (r, order, r_desc, thresholds, prefix_len):
+        prefix_len = sizes[::-1]  # aligned with thresholds: |{r >= s}|
+        for a in (r, order, r_desc, thresholds, sizes, prefix_len):
             a.setflags(write=False)
         self.revenues = r
         self.order = order
         self.sorted_revenues = r_desc
         self.thresholds = thresholds
         self.prefix_len = prefix_len
+        self._sizes = sizes
+        # Last prefix position of each level set; every prefix is a level set
+        # when the revenues are distinct, and a slice then skips the gather.
+        self._ends = slice(None) if sizes.size == r.size else sizes - 1
 
-    def values(self, utilities) -> np.ndarray:
-        """R({r >= s}) under ``utilities`` for each threshold s (ascending).
-
-        Raises ValueError unless the utilities match the revenues in length
-        and are finite and nonnegative.
-        """
+    def _prefix_values(self, utilities) -> np.ndarray:
+        """R({r >= s}) under ``utilities`` for each threshold s, largest
+        threshold (smallest level set) first."""
         v = np.asarray(utilities, dtype=float)
         if v.shape != self.revenues.shape:
             raise ValueError(
@@ -311,10 +314,17 @@ class LevelSetOracle:
             )
         _check_utilities(v)
         v_desc = v[self.order]
-        cum_v = np.cumsum(v_desc)
-        cum_rv = np.cumsum(self.sorted_revenues * v_desc)
-        k = self.prefix_len - 1
-        return cum_rv[k] / (1.0 + cum_v[k])
+        cum_v = v_desc.cumsum()
+        cum_rv = (self.sorted_revenues * v_desc).cumsum()
+        return cum_rv[self._ends] / (1.0 + cum_v[self._ends])
+
+    def values(self, utilities) -> np.ndarray:
+        """R({r >= s}) under ``utilities`` for each threshold s (ascending).
+
+        Raises ValueError unless the utilities match the revenues in length
+        and are finite and nonnegative.
+        """
+        return self._prefix_values(utilities)[::-1]
 
     def best_indices(self, utilities):
         """Best level set under ``utilities`` as ascending 0-based item
@@ -324,13 +334,13 @@ class LevelSetOracle:
         when no level set earns a positive revenue no index and 0.0 are
         returned.
         """
-        values = self.values(utilities)
-        # The first maximum of the reversed values is the largest maximizing
-        # threshold.
-        i = values.size - 1 - int(np.argmax(values[::-1]))
-        if not values[i] > 0.0:
+        values = self._prefix_values(utilities)
+        # The first maximum is the smallest maximizing level set.
+        i = int(values.argmax())
+        value = values[i]
+        if not value > 0.0:
             return np.empty(0, dtype=np.intp), 0.0
-        return np.flatnonzero(self.revenues >= self.thresholds[i]), float(values[i])
+        return np.sort(self.order[: self._sizes[i]]), float(value)
 
     def best(self, utilities):
         """``best_indices`` as an assortment of 1-based items; the empty

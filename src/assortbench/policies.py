@@ -205,6 +205,7 @@ class _EpochEstimatorPolicy(Policy):
     def _run(self):
         n = self.revenues.size
         self._levels = LevelSetOracle(self.revenues)
+        self._offer = ((), np.empty(0, dtype=np.intp))  # last (assortment, index array)
         self.epoch_counts = np.zeros(n)  # epochs in which item i was offered
         self.purchase_totals = np.zeros(n)  # purchases of item i across those epochs
         self.epochs_closed = 0
@@ -225,13 +226,22 @@ class _EpochEstimatorPolicy(Policy):
     def _plug_in_optimum(self, utilities: np.ndarray, force_include: np.ndarray):
         """Level-set optimum under estimated utilities, with untried items
         forced into the offer so they get explored: (assortment of 1-based
-        items, ascending 0-based index array)."""
+        items, ascending 0-based index array).
+
+        An offer equal to the previous one is handed back as the same
+        objects, so the episode loop skips re-hashing the tuple.
+        """
         idx, _ = self._levels.best_indices(utilities)
         if force_include.any():
             merged = force_include.copy()
             merged[idx] = True
             idx = np.flatnonzero(merged)
-        return tuple((idx + 1).tolist()), idx
+        last = self._offer
+        # Compared by hand: np.array_equal's wrapper costs as much as the test.
+        if last[1].shape == idx.shape and (last[1] == idx).all():
+            return last
+        self._offer = offer = (tuple((idx + 1).tolist()), idx)
+        return offer
 
 
 # Stand-in utility for items that were never offered; large enough to make
@@ -263,10 +273,10 @@ class UcbPolicy(_EpochEstimatorPolicy):
         return out
 
     def _pick_assortment(self):
+        untried = self.epoch_counts == 0
         index = self.utility_ucb()
-        untried = ~np.isfinite(index)
-        utilities = np.where(untried, _OPTIMISTIC_UTILITY, index)
-        return self._plug_in_optimum(utilities, untried)
+        index[untried] = _OPTIMISTIC_UTILITY
+        return self._plug_in_optimum(index, untried)
 
 
 class ThompsonPolicy(_EpochEstimatorPolicy):

@@ -60,6 +60,15 @@ class TestAdaptiveCi:
         with pytest.raises(ValueError):
             adaptive_ci(0, 0, 0.5)
 
+    @pytest.mark.parametrize(
+        "delta, scale", [(0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (1e-3, 0.0), (1e-3, math.nan)]
+    )
+    def test_bad_delta_or_scale_rejected(self, delta, scale):
+        # NaN compares False both ways, so it must not slip past the checks
+        # into a zero-width or [0, 1] interval.
+        with pytest.raises(ValueError):
+            adaptive_ci(1.0, 2, delta, scale)
+
     def test_widths_comparable_to_fixed(self):
         # delta = 1/T^2 fixed vs delta = 1/T adaptive (scale 2): widths stay
         # within a factor of 4 of each other while the log terms are positive.

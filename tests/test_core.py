@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assortbench import properties
@@ -88,6 +88,45 @@ def loop_best(levels: LevelSetOracle, utilities):
     if best_theta is None:
         return (), 0.0
     return level_set_from_revenues(levels.revenues, best_theta), best_value
+
+
+def two_pass_values(levels: LevelSetOracle, utilities):
+    """``LevelSetOracle.values`` before the one-pass kernel, verbatim but
+    for the input checks: ascending thresholds through a gather of the
+    prefix ends."""
+    v = np.asarray(utilities, dtype=float)
+    v_desc = v[levels.order]
+    cum_v = np.cumsum(v_desc)
+    cum_rv = np.cumsum(levels.sorted_revenues * v_desc)
+    k = levels.prefix_len - 1
+    return cum_rv[k] / (1.0 + cum_v[k])
+
+
+def two_pass_best_indices(levels: LevelSetOracle, utilities):
+    """``LevelSetOracle.best_indices`` before the one-pass kernel, verbatim:
+    the reversed argmax, then the level set rebuilt by a threshold scan."""
+    values = two_pass_values(levels, utilities)
+    # The first maximum of the reversed values is the largest maximizing
+    # threshold.
+    i = values.size - 1 - int(np.argmax(values[::-1]))
+    if not values[i] > 0.0:
+        return np.empty(0, dtype=np.intp), 0.0
+    return np.flatnonzero(levels.revenues >= levels.thresholds[i]), float(values[i])
+
+
+_quarter_revenues = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def quarter_grid_cases(max_items: int):
+    """(revenues, utilities): revenues on the quarter grid, so level sets
+    tie, and utilities that are often 0, so prefix values tie too."""
+    n = st.integers(min_value=1, max_value=max_items)
+    return n.flatmap(
+        lambda k: st.tuples(
+            st.lists(_quarter_revenues, min_size=k, max_size=k),
+            st.lists(_edgy_utility, min_size=k, max_size=k),
+        )
+    )
 
 
 def set_sorted_merge(assortment, force_include):
@@ -397,6 +436,23 @@ class TestOptimalAssortment:
             assert value == pytest.approx(
                 expected_revenue(inst, level_set(inst, theta)), rel=1e-12, abs=1e-15
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(quarter_grid_cases(30))
+    @example(([0.5], [1.0]))
+    @example(([0.5], [0.0]))
+    @example(([0.0, 0.0, 0.0], [1.0, 2.0, 0.0]))
+    @example(([1.0, 0.5, 1.0, 0.5], [1.0, 1.0, 0.0, 1.0]))
+    def test_one_pass_matches_two_pass_bit_for_bit(self, case):
+        revenues, utilities = case
+        levels = LevelSetOracle(revenues)
+        values = levels.values(utilities)
+        assert repr(values.tolist()) == repr(two_pass_values(levels, utilities).tolist())
+        idx, value = levels.best_indices(utilities)
+        ref_idx, ref_value = two_pass_best_indices(levels, utilities)
+        assert idx.dtype == ref_idx.dtype
+        assert idx.tolist() == ref_idx.tolist()
+        assert repr(value) == repr(ref_value)
 
     @settings(max_examples=150, deadline=None)
     @given(edgy_instances(20), st.data())

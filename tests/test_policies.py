@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from assortbench import harness
 from assortbench.core import Instance, PurchaseOutcome, sample_purchase
 from assortbench.generators import generate_synthetic
 from assortbench.policies import (
@@ -190,6 +191,37 @@ class TestUcb:
             policy.epochs_closed = int(counts.max(initial=0)) + int(rng.integers(0, 100))
             assert np.array_equal(policy.utility_ucb(), masked_utility_ucb(policy))
 
+    def test_unchanged_offer_is_handed_back_as_the_same_tuple(self):
+        inst = generate_synthetic(30, seed=5)
+        policy = UcbPolicy(inst.revenues, 3000)
+        rng = np.random.default_rng(5)
+        kept = changed = 0
+        previous = policy.next_assortment()
+        for _ in range(2999):
+            outcome = sample_purchase(inst, previous, rng)
+            policy.observe(outcome)
+            current = policy.next_assortment()
+            if outcome.item == 0:  # the epoch closed; the offer was re-optimized
+                if current == previous:
+                    assert current is previous
+                    kept += 1
+                else:
+                    changed += 1
+            else:
+                assert current is previous
+            previous = current
+        assert kept > 0 and changed > 0
+
+    def test_plug_in_optimum_reuses_only_the_last_offer(self):
+        policy = UcbPolicy([0.2, 0.5, 0.9], 10)
+        none = np.zeros(3, dtype=bool)
+        first = policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]), none)
+        assert policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]), none) is first
+        other = policy._plug_in_optimum(np.array([0.0, 0.0, 1.0]), none)
+        assert other[0] == (3,) and other[0] != first[0]
+        again = policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]), none)
+        assert again[0] == first[0] and again[0] is not first[0]
+
     def test_epoch_counts_unbiased_single_item(self):
         # Per-epoch purchase count of a single item with utility v is
         # geometric with mean v.
@@ -223,6 +255,21 @@ class TestThompson:
             return drive(policy, inst, 500, seed=22)
 
         assert one_run() == one_run()
+
+
+@pytest.mark.parametrize("name", ["ucb", "thompson", "trisection", "grs"])
+def test_episode_values_each_distinct_offer_once(monkeypatch, name):
+    calls = []
+    expected_revenue = harness.expected_revenue
+
+    def counting_expected_revenue(instance, assortment):
+        calls.append(tuple(int(i) + 1 for i in assortment.indices))
+        return expected_revenue(instance, assortment)
+
+    monkeypatch.setattr(harness, "expected_revenue", counting_expected_revenue)
+    log = harness.run_episode(generate_synthetic(40, seed=9), name, 1500, seed=9)
+    assert len(set(log.assortments)) > 1
+    assert sorted(calls) == sorted(set(log.assortments))
 
 
 class TestGoldenRatioSearch:
