@@ -289,20 +289,18 @@ class LevelSetOracle:
         # Last position of each distinct revenue in the descending order gives
         # the prefix length of its level set.
         distinct_desc, counts = np.unique(-r_desc, return_counts=True)
-        sizes = np.cumsum(counts)  # level-set sizes, largest threshold first
         thresholds = -distinct_desc[::-1]  # ascending distinct revenues
-        prefix_len = sizes[::-1]  # aligned with thresholds: |{r >= s}|
-        for a in (r, order, r_desc, thresholds, sizes, prefix_len):
+        prefix_len = np.cumsum(counts)[::-1]  # aligned with thresholds: |{r >= s}|
+        # Last prefix position of each level set, largest threshold first.
+        ends = prefix_len[::-1] - 1
+        for a in (r, order, r_desc, thresholds, prefix_len, ends):
             a.setflags(write=False)
         self.revenues = r
         self.order = order
         self.sorted_revenues = r_desc
         self.thresholds = thresholds
         self.prefix_len = prefix_len
-        self._sizes = sizes
-        # Last prefix position of each level set; every prefix is a level set
-        # when the revenues are distinct, and a slice then skips the gather.
-        self._ends = slice(None) if sizes.size == r.size else sizes - 1
+        self._ends = ends
 
     def _prefix_values(self, utilities) -> np.ndarray:
         """R({r >= s}) under ``utilities`` for each threshold s, largest
@@ -340,7 +338,7 @@ class LevelSetOracle:
         value = values[i]
         if not value > 0.0:
             return np.empty(0, dtype=np.intp), 0.0
-        return np.sort(self.order[: self._sizes[i]]), float(value)
+        return np.sort(self.order[: self._ends[i] + 1]), float(value)
 
     def best(self, utilities):
         """``best_indices`` as an assortment of 1-based items; the empty
