@@ -72,6 +72,13 @@ def _parse_assortment(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _count(text: str) -> int:
+    """A count flag's value: an integer >= 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="assortbench", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -102,25 +109,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a grid of cells from a config")
     p_bench.add_argument("--config", required=True, help="JSON path or built-in name")
     p_bench.add_argument("--out", type=Path, default=None)
-    p_bench.add_argument("--parallel", type=int, default=1, help="worker processes")
-    p_bench.add_argument("--reps", type=int, default=None, help="override replications")
+    p_bench.add_argument("--parallel", type=_count, default=1, help="worker processes")
+    p_bench.add_argument("--reps", type=_count, default=None, help="override replications")
     p_bench.add_argument("--seed", type=int, default=None, help="override master seed")
 
     p_scale = sub.add_parser("scaling", help="regret scaling across horizons")
     common(p_scale)
     p_scale.add_argument("--out", type=Path, default=None, help="output directory")
     p_scale.add_argument("--t", default="1000,4000,16000", help="comma-separated horizons")
-    p_scale.add_argument("--reps", type=int, default=20)
-    p_scale.add_argument("--parallel", type=int, default=1)
+    p_scale.add_argument("--reps", type=_count, default=20)
+    p_scale.add_argument("--parallel", type=_count, default=1)
 
     p_verify = sub.add_parser("verify", help="randomized property suites")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--instances", type=int, default=500)
+    p_verify.add_argument("--instances", type=_count, default=500)
 
     p_lb = sub.add_parser("lower-bound", help="hard-pair diagnostics")
     common(p_lb)
     p_lb.add_argument("--t", type=int, default=1000, help="horizon")
-    p_lb.add_argument("--reps", type=int, default=20)
+    p_lb.add_argument("--reps", type=_count, default=20)
 
     return parser
 

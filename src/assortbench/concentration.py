@@ -69,8 +69,8 @@ def adaptive_ci(
     mean = _check_accumulator(total, count)
     if not delta > 0.0:  # also rejects NaN
         raise ValueError("delta must be positive")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise ValueError("scale must be positive and finite")
     log_arg = 8.0 / (delta * count)
     half_width = math.sqrt(scale * math.log(log_arg) / count) if log_arg > 1.0 else 0.0
     return _clamp(mean, half_width, count)

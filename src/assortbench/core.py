@@ -13,12 +13,12 @@ Instances, prepared offers, level-set oracles and potential profiles are
 immutable after construction and safe to share across threads; only the
 caller-owned random generator is mutated by sampling.
 
-Two objects keep the simulator's hot paths free of repeated work. A
-``PreparedOffer`` validates an assortment and sums its utilities once;
-``run_episode`` prepares and values each distinct offer once per episode,
-so a repeated offer costs O(log |S|) per period. A ``LevelSetOracle`` sorts a
-revenue vector once; each later level-set optimization under new utilities
-is one pass of two cumulative sums over the revenue-sorted prefixes.
+A ``PreparedOffer`` is the one MNL purchase distribution: the functions
+over assortments delegate to it. ``run_episode`` prepares each distinct offer
+once and logs one tuple per distinct offer. A ``LevelSetOracle`` sorts a
+revenue vector once; policies read their level sets off it, and a level-set
+optimization is one pass over the revenue-sorted prefixes. ``level_set``'s
+plain mask stays as the independent reference.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "choice_probabilities",
     "sample_purchase",
     "level_set",
-    "level_set_from_revenues",
     "potential",
     "build_potential_profile",
     "oracle_optimal",
@@ -146,72 +145,46 @@ class PotentialProfile:
         return self.values[bisect_left(self.jump_points, theta)]
 
 
-def _assortment_indices(instance: Instance, assortment) -> np.ndarray:
-    """Validate an assortment and return its 0-based index array."""
-    idx = np.asarray(assortment, dtype=np.int64)
-    if idx.ndim != 1:
-        raise InvalidAssortmentError("assortment must be a flat sequence of indices")
-    if idx.size == 0:
-        return idx
-    if idx[0] < 1 or idx[-1] > instance.n:
-        raise InvalidAssortmentError(
-            f"item indices must lie in [1, {instance.n}], got {idx.min()}..{idx.max()}"
-        )
-    if np.any(np.diff(idx) <= 0):
-        raise InvalidAssortmentError("assortment indices must be strictly increasing")
-    return idx - 1
-
-
-def expected_revenue(instance: Instance, assortment) -> float:
-    """Expected revenue of offering ``assortment``: sum(r v) / (1 + sum(v)).
-
-    ``assortment`` is an index sequence or a ``PreparedOffer`` built for
-    ``instance``; the latter skips validation. The empty assortment yields 0.
-    """
-    if isinstance(assortment, PreparedOffer):
-        idx = _own_offer(instance, assortment).indices
-    else:
-        idx = _assortment_indices(instance, assortment)
-    if idx.size == 0:
-        return 0.0
-    v = instance.utilities[idx]
-    return float(np.dot(instance.revenues[idx], v) / (1.0 + v.sum()))
-
-
-def choice_probabilities(instance: Instance, assortment) -> np.ndarray:
-    """MNL purchase probabilities over [no-purchase] + assortment items.
-
-    Entry 0 is the no-purchase probability; entry k >= 1 corresponds to
-    the k-th item of the assortment.
-    """
-    idx = _assortment_indices(instance, assortment)
-    v = instance.utilities[idx]
-    denom = 1.0 + v.sum()
-    probs = np.empty(idx.size + 1)
-    probs[0] = 1.0 / denom
-    probs[1:] = v / denom
-    return probs
-
-
 class PreparedOffer:
-    """An assortment validated against one instance, ready to sample from.
+    """The MNL purchase distribution of one assortment on one instance.
 
-    Holds the 0-based item indices and the cumulative utilities in item
-    order, so each draw costs one uniform and a binary search.
+    Validates the assortment once and holds the 0-based item indices and
+    the cumulative utilities in item order, so each draw costs one uniform
+    and a binary search.
     """
 
     __slots__ = ("instance", "indices", "cum_utilities", "_scale")
 
     def __init__(self, instance: Instance, assortment):
-        idx = _assortment_indices(instance, assortment)
+        idx = np.asarray(assortment, dtype=np.int64)
+        if idx.ndim != 1:
+            raise InvalidAssortmentError("assortment must be a flat sequence of indices")
+        if idx.size and (idx[0] < 1 or idx[-1] > instance.n):
+            raise InvalidAssortmentError(
+                f"item indices must lie in [1, {instance.n}], got {idx.min()}..{idx.max()}"
+            )
+        if np.any(np.diff(idx) <= 0):
+            raise InvalidAssortmentError("assortment indices must be strictly increasing")
+        idx = idx - 1
         cum = np.cumsum(instance.utilities[idx])
         idx.setflags(write=False)
         cum.setflags(write=False)
         self.instance = instance
         self.indices = idx
         self.cum_utilities = cum
-        # 1 + total utility of the offer; None for the empty offer.
-        self._scale = float(1.0 + cum[-1]) if idx.size else None
+        # 1 + total utility of the offer (1 for the empty offer).
+        self._scale = float(1.0 + cum[-1]) if idx.size else 1.0
+
+    def expected_revenue(self) -> float:
+        """sum(r v) / (1 + sum(v)) over the offer; 0 for the empty offer."""
+        v = self.instance.utilities[self.indices]
+        return float(np.dot(self.instance.revenues[self.indices], v) / (1.0 + v.sum()))
+
+    def probabilities(self) -> np.ndarray:
+        """Purchase probabilities: entry 0 is no purchase, entry k >= 1 the
+        k-th item of the offer."""
+        v = self.instance.utilities[self.indices]
+        return np.concatenate(([1.0], v)) / (1.0 + v.sum())
 
     def sample(self, rng) -> PurchaseOutcome:
         """Draw one purchase decision; advances ``rng`` by exactly one uniform.
@@ -219,10 +192,7 @@ class PreparedOffer:
         The uniform u picks no purchase when u (1 + sum v) < 1 and otherwise
         the first item whose cumulative utility exceeds u (1 + sum v) - 1.
         """
-        u = rng.random()
-        if self._scale is None:
-            return PurchaseOutcome(0, 0.0)
-        scaled = u * self._scale
+        scaled = rng.random() * self._scale
         if scaled < 1.0:
             return PurchaseOutcome(0, 0.0)
         cum = self.cum_utilities
@@ -233,10 +203,27 @@ class PreparedOffer:
         return PurchaseOutcome(int(i) + 1, float(self.instance.revenues[i]))
 
 
-def _own_offer(instance: Instance, offer: PreparedOffer) -> PreparedOffer:
-    if offer.instance is not instance:
+def _prepared(instance: Instance, assortment) -> PreparedOffer:
+    """An index sequence prepared, or a ``PreparedOffer`` of ``instance``."""
+    if not isinstance(assortment, PreparedOffer):
+        return PreparedOffer(instance, assortment)
+    if assortment.instance is not instance:
         raise ValueError("offer was prepared for a different instance")
-    return offer
+    return assortment
+
+
+def expected_revenue(instance: Instance, assortment) -> float:
+    """Expected revenue of offering ``assortment``: sum(r v) / (1 + sum(v)).
+
+    ``assortment`` is an index sequence or a ``PreparedOffer`` built for
+    ``instance``; the latter skips validation. The empty assortment yields 0.
+    """
+    return _prepared(instance, assortment).expected_revenue()
+
+
+def choice_probabilities(instance: Instance, assortment) -> np.ndarray:
+    """MNL purchase probabilities over [no-purchase] + assortment items."""
+    return _prepared(instance, assortment).probabilities()
 
 
 def sample_purchase(instance: Instance, assortment, rng) -> PurchaseOutcome:
@@ -245,22 +232,15 @@ def sample_purchase(instance: Instance, assortment, rng) -> PurchaseOutcome:
     ``assortment`` is an index sequence or a ``PreparedOffer`` built for
     ``instance``; the latter skips validation and the utility sums.
     """
-    if isinstance(assortment, PreparedOffer):
-        return _own_offer(instance, assortment).sample(rng)
-    return PreparedOffer(instance, assortment).sample(rng)
-
-
-def level_set_from_revenues(revenues, theta: float) -> tuple:
-    """Indices (1-based, ascending) of items with revenue >= theta."""
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    r = np.asarray(revenues, dtype=float)
-    return tuple((np.flatnonzero(r >= theta) + 1).tolist())
+    return _prepared(instance, assortment).sample(rng)
 
 
 def level_set(instance: Instance, theta: float) -> tuple:
-    """The theta-level set: all items whose revenue is >= theta."""
-    return level_set_from_revenues(instance.revenues, theta)
+    """The theta-level set: all items whose revenue is >= theta (a mask,
+    the reference for ``LevelSetOracle.level_set``)."""
+    if theta < 0.0:
+        raise ValueError("theta must be nonnegative")
+    return tuple((np.flatnonzero(instance.revenues >= theta) + 1).tolist())
 
 
 def potential(instance: Instance, theta: float) -> float:
@@ -274,9 +254,9 @@ class LevelSetOracle:
     Holds the stable descending order of the revenues, the sorted revenues,
     the distinct revenues (ascending) as thresholds, and for each threshold
     s the size of its level set {i : r_i >= s}, which is a prefix of the
-    descending order. Evaluating every level set under new utilities then
-    costs one gather and two cumulative sums instead of a sort, and the
-    best level set is read off the same pass.
+    descending order. One level set is then a binary search away, and
+    evaluating all of them under new utilities costs one gather and two
+    cumulative sums instead of a sort; the best is read off the same pass.
     """
 
     def __init__(self, revenues):
@@ -324,6 +304,13 @@ class LevelSetOracle:
         """
         return self._prefix_values(utilities)[::-1]
 
+    def level_set(self, theta: float) -> tuple:
+        """Items (1-based, ascending) whose revenue is >= ``theta``."""
+        if not theta >= 0.0:  # also rejects NaN
+            raise ValueError("theta must be nonnegative")
+        size = int((-self.sorted_revenues).searchsorted(-theta, side="right"))
+        return tuple((np.sort(self.order[:size]) + 1).tolist())
+
     def best_indices(self, utilities):
         """Best level set under ``utilities`` as ascending 0-based item
         indices, and its expected revenue.
@@ -339,12 +326,6 @@ class LevelSetOracle:
         if not value > 0.0:
             return np.empty(0, dtype=np.intp), 0.0
         return np.sort(self.order[: self._ends[i] + 1]), float(value)
-
-    def best(self, utilities):
-        """``best_indices`` as an assortment of 1-based items; the empty
-        assortment when no level set earns a positive revenue."""
-        idx, value = self.best_indices(utilities)
-        return tuple((idx + 1).tolist()), value
 
 
 def build_potential_profile(instance: Instance) -> PotentialProfile:
@@ -387,7 +368,8 @@ def oracle_optimal(instance: Instance):
     Ties are broken toward the smallest level set (largest threshold);
     when F* = 0 the empty assortment is returned.
     """
-    return LevelSetOracle(instance.revenues).best(instance.utilities)
+    idx, value = LevelSetOracle(instance.revenues).best_indices(instance.utilities)
+    return tuple((idx + 1).tolist()), value
 
 
 def brute_force_optimal(instance: Instance):

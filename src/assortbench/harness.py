@@ -156,7 +156,7 @@ def run_episode(
     )
     _, optimal_value = oracle_optimal(instance)
     log = EpisodeLog(policy_name=policy_name, seed=seed, optimal_value=optimal_value)
-    prepared: dict = {}  # assortment -> (PreparedOffer, expected revenue)
+    prepared: dict = {}  # assortment -> (first tuple, PreparedOffer, expected revenue)
     previous = None
     for t in range(1, horizon + 1):
         assortment = policy.next_assortment()
@@ -166,13 +166,14 @@ def run_episode(
             entry = prepared.get(assortment)
             if entry is None:
                 offer = PreparedOffer(instance, assortment)
-                entry = prepared[assortment] = (offer, expected_revenue(instance, offer))
-            offer, value = entry
+                value = expected_revenue(instance, offer)
+                entry = prepared[assortment] = (assortment, offer, value)
+            kept, offer, value = entry
             previous = assortment
         outcome = sample_purchase(instance, offer, customer_rng)
         policy.observe(outcome)
-        log.steps.append((t, len(assortment), value, optimal_value - value))
-        log.assortments.append(assortment)
+        log.steps.append((t, len(kept), value, optimal_value - value))
+        log.assortments.append(kept)
         log.realized_rewards.append(outcome.revenue)
     return log
 

@@ -18,7 +18,7 @@ import numbers
 import numpy as np
 
 from .concentration import adaptive_ci, fixed_ci
-from .core import LevelSetOracle, PurchaseOutcome, _check_revenues, level_set_from_revenues
+from .core import LevelSetOracle, PurchaseOutcome
 from .core import oracle_optimal  # noqa: F401  (perfbench's tracer wraps it by this name)
 
 __all__ = [
@@ -51,18 +51,14 @@ class Policy:
 
     Subclasses implement ``_run()``, an infinite generator that yields
     assortments and receives the corresponding ``PurchaseOutcome`` via
-    ``send``.
+    ``send``; level sets are read off one ``LevelSetOracle`` built here.
     """
 
     def __init__(self, revenues, horizon: int):
-        r = np.array(revenues, dtype=float)
-        if r.ndim != 1 or r.size < 1:
-            raise ValueError("revenues must be a nonempty vector")
-        _check_revenues(r)
+        self._levels = LevelSetOracle(revenues)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        r.setflags(write=False)
-        self.revenues = r
+        self.revenues = self._levels.revenues
         self.horizon = int(horizon)
         self._offers = 0
         self._awaiting_observe = False
@@ -92,7 +88,7 @@ class Policy:
     def _level_set(self, theta: float) -> tuple:
         cached = self._level_set_cache.get(theta)
         if cached is None:
-            cached = level_set_from_revenues(self.revenues, theta)
+            cached = self._levels.level_set(theta)
             self._level_set_cache[theta] = cached
         return cached
 
@@ -178,8 +174,8 @@ class AdaptiveTrisectionPolicy(TrisectionPolicy):
 
     def __init__(self, revenues, horizon, *, ci_scale: float = 2.0):
         self.ci_scale = float(ci_scale)
-        if not self.ci_scale > 0.0:
-            raise ValueError("ci_scale must be positive")
+        if not (self.ci_scale > 0.0 and math.isfinite(self.ci_scale)):
+            raise ValueError("ci_scale must be positive and finite")
         super().__init__(revenues, horizon)
 
     def _inner_budget(self, gap: float) -> int:
@@ -194,8 +190,7 @@ class _EpochEstimatorPolicy(Policy):
 
     The current assortment is offered repeatedly until a no-purchase
     outcome closes the epoch; per-epoch purchase counts are unbiased
-    estimates of the item utilities. The revenues are sorted once, when
-    the policy is built; each epoch's plug-in optimization reuses them.
+    estimates of the item utilities.
     """
 
     def _pick_assortment(self):
@@ -204,7 +199,6 @@ class _EpochEstimatorPolicy(Policy):
 
     def _run(self):
         n = self.revenues.size
-        self._levels = LevelSetOracle(self.revenues)
         self._offer = ((), np.empty(0, dtype=np.intp))  # last (assortment, index array)
         self.epoch_counts = np.zeros(n)  # epochs in which item i was offered
         self.purchase_totals = np.zeros(n)  # purchases of item i across those epochs

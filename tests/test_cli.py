@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import assortbench
 from assortbench import core, harness
 from assortbench.cli import builtin_config, main
 
@@ -67,6 +72,41 @@ class TestRun:
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["error: --assortment only applies to static"]
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["lower-bound", "--reps", "0"], "--reps"),
+        (["verify", "--instances", "-5"], "--instances"),
+        (["bench", "--config", "table2", "--parallel", "0"], "--parallel"),
+        (["scaling", "--parallel", "-2"], "--parallel"),
+    ],
+)
+def test_count_flags_reject_values_below_one(argv, flag, capsys):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: assortbench")
+    assert lines[-1].startswith(f"error: argument {flag}: expected an integer >= 1")
+
+
+def test_cli_imports_no_third_party_module_but_numpy():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import assortbench.cli\n"
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    src = str(Path(assortbench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    third_party = set(out) - set(sys.stdlib_module_names) - {"assortbench", "__mp_main__"}
+    assert third_party == {"numpy"}
 
 
 class TestBench:
@@ -138,6 +178,8 @@ class TestBench:
             ({"policy": "static", "n": 10, "t": 60, "params": {"assortment": [11]}}, "out of range"),
             ({"policy": "static", "n": 10, "t": 60, "params": {"assortment": [1.7]}},
              "must be integers"),
+            ({"policy": "adaptive-trisection", "n": 10, "t": 60,
+              "params": {"ci_scale": float("inf")}}, "ci_scale must be positive and finite"),
         ],
     )
     def test_bad_cell_fails_before_any_cell_runs(self, tmp_path, tiny_config, capsys, bad_cell, named):

@@ -61,7 +61,8 @@ class TestAdaptiveCi:
             adaptive_ci(0, 0, 0.5)
 
     @pytest.mark.parametrize(
-        "delta, scale", [(0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (1e-3, 0.0), (1e-3, math.nan)]
+        "delta, scale",
+        [(0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (1e-3, 0.0), (1e-3, math.nan), (1e-3, math.inf)],
     )
     def test_bad_delta_or_scale_rejected(self, delta, scale):
         # NaN compares False both ways, so it must not slip past the checks

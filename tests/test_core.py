@@ -19,7 +19,6 @@ from assortbench.core import (
     expected_revenue,
     kl_purchase_distributions,
     level_set,
-    level_set_from_revenues,
     oracle_optimal,
     potential,
     sample_purchase,
@@ -77,8 +76,8 @@ def edgy_offers(max_items: int):
 
 def loop_best(levels: LevelSetOracle, utilities):
     """The threshold loop that ``oracle_optimal`` ran before
-    ``LevelSetOracle.best``: scan the level sets from the smallest up and
-    keep strict improvements over 0."""
+    ``LevelSetOracle``: scan the level sets from the smallest up, keep
+    strict improvements over 0, and mask the revenues at the best one."""
     values = levels.values(utilities)
     best_value, best_theta = 0.0, None
     for i in range(values.size - 1, -1, -1):
@@ -87,7 +86,7 @@ def loop_best(levels: LevelSetOracle, utilities):
             best_theta = float(levels.thresholds[i])
     if best_theta is None:
         return (), 0.0
-    return level_set_from_revenues(levels.revenues, best_theta), best_value
+    return tuple((np.flatnonzero(levels.revenues >= best_theta) + 1).tolist()), best_value
 
 
 def two_pass_values(levels: LevelSetOracle, utilities):
@@ -312,6 +311,9 @@ class TestLevelSets:
         inst = Instance([0.2], [1.0])
         with pytest.raises(ValueError):
             level_set(inst, -0.1)
+        for theta in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                LevelSetOracle(inst.revenues).level_set(theta)
 
     def test_synthetic_fraction_near_point_eight(self):
         rng = np.random.default_rng(42)
@@ -414,19 +416,18 @@ class TestOptimalAssortment:
     @given(edgy_instances(40))
     def test_best_matches_threshold_loop(self, inst):
         levels = LevelSetOracle(inst.revenues)
-        assert levels.best(inst.utilities) == loop_best(levels, inst.utilities)
         assert oracle_optimal(inst) == loop_best(levels, inst.utilities)
 
     @settings(max_examples=200, deadline=None)
     @given(edgy_instances(12))
     def test_best_matches_brute_force_value(self, inst):
-        assortment, value = LevelSetOracle(inst.revenues).best(inst.utilities)
+        assortment, value = oracle_optimal(inst)
         _, subset_best = brute_force_optimal(inst)
         assert abs(value - subset_best) <= 1e-12
         assert abs(value - expected_revenue(inst, assortment)) <= 1e-12
 
     @settings(max_examples=100, deadline=None)
-    @given(edgy_instances(20))
+    @given(st.one_of(edgy_instances(20), quarter_grid_cases(20).map(lambda rv: Instance(*rv))))
     def test_values_are_level_set_revenues(self, inst):
         levels = LevelSetOracle(inst.revenues)
         values = levels.values(inst.utilities)
@@ -436,6 +437,9 @@ class TestOptimalAssortment:
             assert value == pytest.approx(
                 expected_revenue(inst, level_set(inst, theta)), rel=1e-12, abs=1e-15
             )
+        above_all = float(np.nextafter(levels.thresholds[-1], math.inf))
+        for theta in [*levels.thresholds.tolist(), above_all, 0.0]:
+            assert levels.level_set(theta) == level_set(inst, theta)
 
     @settings(max_examples=300, deadline=None)
     @given(quarter_grid_cases(30))
@@ -477,7 +481,7 @@ class TestOptimalAssortment:
             with pytest.raises(ValueError):
                 levels.values(bad)
             with pytest.raises(ValueError):
-                levels.best(bad)
+                levels.best_indices(bad)
 
     def test_brute_force_cap(self):
         n = BRUTE_FORCE_MAX_ITEMS + 1

@@ -270,6 +270,7 @@ def test_episode_values_each_distinct_offer_once(monkeypatch, name):
     log = harness.run_episode(generate_synthetic(40, seed=9), name, 1500, seed=9)
     assert len(set(log.assortments)) > 1
     assert sorted(calls) == sorted(set(log.assortments))
+    assert len({id(a) for a in log.assortments}) == len(set(log.assortments))
 
 
 class TestGoldenRatioSearch:
@@ -360,6 +361,7 @@ class TestFactory:
             ("adaptive-trisection", {"ci_scale": 0.0}),
             ("adaptive-trisection", {"ci_scale": -1.0}),
             ("adaptive-trisection", {"ci_scale": float("nan")}),
+            ("adaptive-trisection", {"ci_scale": float("inf")}),
             ("ucb", {"c1": math.sqrt(48.0)}),
             ("ucb", {"c2": 48.0}),
         ]
