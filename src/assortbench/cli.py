@@ -148,7 +148,6 @@ def _policy_params(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    params = _policy_params(args)
     if args.assortment is not None and args.policy != "static":
         raise ValueError("--assortment only applies to static")
     config = RunConfig(
@@ -156,22 +155,15 @@ def _cmd_run(args) -> int:
         n=args.n,
         horizon=args.t,
         generator=args.generator,
-        policy_params=params,
+        policy_params=_policy_params(args),
         master_seed=args.seed,
     )
-    instance = config.build_instance()
     if args.policy == "static":
         assortment = args.assortment
         if assortment is None:
-            assortment, _ = core.oracle_optimal(instance)
-        params["assortment"] = assortment
-    log = run_episode(
-        instance,
-        args.policy,
-        args.t,
-        derive_seed(args.seed, "replication", 0),
-        policy_params=params,
-    )
+            assortment, _ = core.oracle_optimal(config.build_instance())
+        config.policy_params["assortment"] = assortment
+    log = config.episode()
     out = _out_dir(args.out) / f"episode_{args.policy}_n{args.n}_t{args.t}.csv"
     write_episode_csv(log, out)
     print(f"cumulative regret {log.cumulative_regret:.4f} -> {out}")

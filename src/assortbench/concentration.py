@@ -24,11 +24,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """Clamped interval [lower, upper] around ``mean`` after ``count`` samples."""
+    """Clamped interval [lower, upper] around ``mean``."""
 
     lower: float
     upper: float
-    count: int
     mean: float
 
 
@@ -40,11 +39,10 @@ def _check_accumulator(total: float, count: int) -> float:
     return total / count
 
 
-def _clamp(mean: float, half_width: float, count: int) -> ConfidenceInterval:
+def _clamp(mean: float, half_width: float) -> ConfidenceInterval:
     return ConfidenceInterval(
         lower=max(0.0, mean - half_width),
         upper=min(1.0, mean + half_width),
-        count=count,
         mean=mean,
     )
 
@@ -55,7 +53,7 @@ def fixed_ci(total: float, count: int, delta: float) -> ConfidenceInterval:
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     half_width = math.sqrt(math.log(1.0 / delta) / (2.0 * count))
-    return _clamp(mean, half_width, count)
+    return _clamp(mean, half_width)
 
 
 def adaptive_ci(
@@ -73,7 +71,7 @@ def adaptive_ci(
         raise ValueError("scale must be positive and finite")
     log_arg = 8.0 / (delta * count)
     half_width = math.sqrt(scale * math.log(log_arg) / count) if log_arg > 1.0 else 0.0
-    return _clamp(mean, half_width, count)
+    return _clamp(mean, half_width)
 
 
 def validate_uniform_concentration(

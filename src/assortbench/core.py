@@ -8,7 +8,7 @@ point theta* = F(theta*), and it identifies the optimal revenue-ordered
 assortment; ``assortbench.properties`` checks this and the potential's
 other structural properties.
 
-Assortments are strictly increasing tuples of 1-based item indices.
+Assortments are strictly increasing sequences of integer 1-based item ids.
 Instances, prepared offers, level-set oracles and potential profiles are
 immutable after construction and safe to share across threads; only the
 caller-owned random generator is mutated by sampling.
@@ -36,6 +36,7 @@ __all__ = [
     "LevelSetOracle",
     "PotentialProfile",
     "InvalidAssortmentError",
+    "assortment_indices",
     "expected_revenue",
     "choice_probabilities",
     "sample_purchase",
@@ -56,7 +57,8 @@ _MERGE_TOL = 1e-12
 
 
 class InvalidAssortmentError(ValueError):
-    """Assortment indices are out of range, duplicated, or unsorted."""
+    """Assortment item ids are not integers, out of range, duplicated, or
+    unsorted."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,11 @@ def _check_revenues(r: np.ndarray) -> None:
         raise ValueError("revenues must be finite")
     if np.any(r < 0.0) or np.any(r > 1.0):
         raise ValueError("revenues must lie in [0, 1]")
+
+
+def _check_theta(theta: float) -> None:
+    if not theta >= 0.0:  # also rejects NaN
+        raise ValueError("theta must be nonnegative")
 
 
 def _check_utilities(v: np.ndarray) -> None:
@@ -140,9 +147,24 @@ class PotentialProfile:
 
     def value_at(self, theta: float) -> float:
         """Potential at ``theta`` (left-continuous)."""
-        if theta < 0.0:
-            raise ValueError("theta must be nonnegative")
+        _check_theta(theta)
         return self.values[bisect_left(self.jump_points, theta)]
+
+
+def assortment_indices(assortment, n: int) -> np.ndarray:
+    """0-based int64 indices of a flat sequence of integer item ids in [1, n],
+    strictly increasing; raises InvalidAssortmentError otherwise. numpy reads
+    a mix such as ``(True, 2)`` as the integers ``[1, 2]``."""
+    idx = np.asarray(assortment)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise InvalidAssortmentError("item ids must be integers in a flat sequence")
+    if idx.size and (idx[0] < 1 or idx[-1] > n):
+        raise InvalidAssortmentError(
+            f"item ids out of range [1, {n}]: got {idx.min()}..{idx.max()}"
+        )
+    if (idx[1:] <= idx[:-1]).any():
+        raise InvalidAssortmentError("item ids must be strictly increasing")
+    return idx.astype(np.int64, copy=False) - 1
 
 
 class PreparedOffer:
@@ -156,16 +178,7 @@ class PreparedOffer:
     __slots__ = ("instance", "indices", "cum_utilities", "_scale")
 
     def __init__(self, instance: Instance, assortment):
-        idx = np.asarray(assortment, dtype=np.int64)
-        if idx.ndim != 1:
-            raise InvalidAssortmentError("assortment must be a flat sequence of indices")
-        if idx.size and (idx[0] < 1 or idx[-1] > instance.n):
-            raise InvalidAssortmentError(
-                f"item indices must lie in [1, {instance.n}], got {idx.min()}..{idx.max()}"
-            )
-        if np.any(np.diff(idx) <= 0):
-            raise InvalidAssortmentError("assortment indices must be strictly increasing")
-        idx = idx - 1
+        idx = assortment_indices(assortment, instance.n)
         cum = np.cumsum(instance.utilities[idx])
         idx.setflags(write=False)
         cum.setflags(write=False)
@@ -238,8 +251,7 @@ def sample_purchase(instance: Instance, assortment, rng) -> PurchaseOutcome:
 def level_set(instance: Instance, theta: float) -> tuple:
     """The theta-level set: all items whose revenue is >= theta (a mask,
     the reference for ``LevelSetOracle.level_set``)."""
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+    _check_theta(theta)
     return tuple((np.flatnonzero(instance.revenues >= theta) + 1).tolist())
 
 
@@ -306,8 +318,7 @@ class LevelSetOracle:
 
     def level_set(self, theta: float) -> tuple:
         """Items (1-based, ascending) whose revenue is >= ``theta``."""
-        if not theta >= 0.0:  # also rejects NaN
-            raise ValueError("theta must be nonnegative")
+        _check_theta(theta)
         size = int((-self.sorted_revenues).searchsorted(-theta, side="right"))
         return tuple((np.sort(self.order[:size]) + 1).tolist())
 
@@ -336,21 +347,14 @@ def build_potential_profile(instance: Instance) -> PotentialProfile:
     the maximum value f*.
     """
     levels = LevelSetOracle(instance.revenues)
-    s_asc = levels.thresholds
-    set_values = levels.values(instance.utilities)
-    m = s_asc.shape[0]
     # Raw interval values: c_0 on (-inf, s_1], c_i on (s_i, s_{i+1}], c_m = 0.
-    raw_values = [float(set_values[0])]
-    raw_values.extend(float(set_values[i]) for i in range(1, m))
-    raw_values.append(0.0)
-    raw_jumps = [float(s) for s in s_asc]
-
+    raw_values = levels.values(instance.utilities).tolist() + [0.0]
     jumps: list = []
     values: list = [raw_values[0]]
-    for i in range(m):
-        if abs(raw_values[i + 1] - values[-1]) > _MERGE_TOL:
-            jumps.append(raw_jumps[i])
-            values.append(raw_values[i + 1])
+    for jump, value in zip(levels.thresholds.tolist(), raw_values[1:]):
+        if abs(value - values[-1]) > _MERGE_TOL:
+            jumps.append(jump)
+            values.append(value)
     if abs(values[-1]) <= _MERGE_TOL:
         values[-1] = 0.0
 

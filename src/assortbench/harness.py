@@ -4,7 +4,7 @@ An episode drives one policy against one instance for exactly T periods
 and records the expected per-period regret against the optimal assortment.
 A ``RunConfig`` draws its instance from one of ``GENERATOR_NAMES``: the
 synthetic family, seeded from the master seed, or one side of the hard
-lower-bound pair.
+lower-bound pair, and ``RunConfig.episode(k)`` is the cell's replication k.
 Batches aggregate independent replications into mean/max/std summaries,
 optionally in parallel; results are independent of worker count because
 every replication owns its seed-derived random streams. One process pool
@@ -18,8 +18,10 @@ import contextlib
 import csv
 import hashlib
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -114,7 +116,11 @@ class RunConfig:
     redraw_instance: bool = False
 
     def __post_init__(self):
-        if self.n < 1 or self.horizon < 1 or self.replications < 1:
+        for name in ("n", "horizon", "replications", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if min(self.n, self.horizon, self.replications) < 1:
             raise ValueError("n, horizon, and replications must all be >= 1")
         if self.generator not in GENERATOR_NAMES:
             raise ValueError(
@@ -131,6 +137,16 @@ class RunConfig:
         if self.redraw_instance:
             tokens.append(replication)
         return generate_synthetic(self.n, seed=derive_seed(self.master_seed, *tokens))
+
+    def episode(self, replication: int = 0) -> EpisodeLog:
+        """Replication ``replication`` of this cell, seeded from the master seed."""
+        return run_episode(
+            self.build_instance(replication),
+            self.policy,
+            self.horizon,
+            derive_seed(self.master_seed, "replication", replication),
+            policy_params=self.policy_params,
+        )
 
 
 def run_episode(
@@ -179,43 +195,31 @@ def run_episode(
 
 
 def _replication_regret(config: RunConfig, replication: int) -> float:
-    instance = config.build_instance(replication)
-    seed = derive_seed(config.master_seed, "replication", replication)
-    log = run_episode(
-        instance,
-        config.policy,
-        config.horizon,
-        seed,
-        policy_params=config.policy_params,
-    )
-    return log.cumulative_regret
+    return config.episode(replication).cumulative_regret
 
 
 def worker_pool(workers: int):
     """A context manager holding a pool of ``workers`` processes for
-    ``run_batch``, or None when ``workers`` <= 1 (run serially)."""
+    ``run_batch``, or for ``workers`` <= 1 an in-process executor whose
+    ``map`` is the builtin ``map``."""
     if workers > 1:
         return ProcessPoolExecutor(max_workers=workers)
-    return contextlib.nullcontext()
+    return contextlib.nullcontext(SimpleNamespace(map=map))
 
 
 def run_batch(config: RunConfig, workers: int = 1, *, pool=None) -> AggregateSummary:
     """Run the configured replications and summarize their regrets.
 
-    Replications run on ``pool`` when one is given (see ``worker_pool``);
-    otherwise on a pool of ``workers`` processes opened for this batch, or
-    serially when ``workers`` <= 1. Results are assembled in replication
-    order, so summaries do not depend on the workers. Every replication has
-    finished when this returns.
+    Replications run on ``pool`` when one is given; otherwise on
+    ``worker_pool(workers)``, opened for this batch. Results are assembled
+    in replication order, so summaries do not depend on the workers. Every
+    replication has finished when this returns.
     """
-    if pool is None and workers > 1:
+    if pool is None:
         with worker_pool(workers) as pool:
             return run_batch(config, pool=pool)
     reps = range(config.replications)
-    if pool is None:
-        regrets = [_replication_regret(config, k) for k in reps]
-    else:
-        regrets = list(pool.map(_replication_regret, [config] * len(reps), reps))
+    regrets = list(pool.map(_replication_regret, [config] * len(reps), reps))
     arr = np.array(regrets)
     return AggregateSummary(
         policy_name=config.policy,

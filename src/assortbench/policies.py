@@ -13,12 +13,11 @@ revenue levels, and a static reference policy.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .concentration import adaptive_ci, fixed_ci
-from .core import LevelSetOracle, PurchaseOutcome
+from .core import LevelSetOracle, PurchaseOutcome, assortment_indices
 from .core import oracle_optimal  # noqa: F401  (perfbench's tracer wraps it by this name)
 
 __all__ = [
@@ -289,12 +288,9 @@ class ThompsonPolicy(_EpochEstimatorPolicy):
     def _pick_assortment(self):
         tried = self.epoch_counts > 0
         utilities = np.ones(self.revenues.size)
-        if tried.any():
-            beta = self.rng.beta(
-                self.epoch_counts[tried], self.purchase_totals[tried] + 1.0
-            )
-            beta = np.maximum(beta, 1e-12)
-            utilities[tried] = 1.0 / beta - 1.0
+        # With no item tried the draw is empty and leaves the stream as it is.
+        beta = self.rng.beta(self.epoch_counts[tried], self.purchase_totals[tried] + 1.0)
+        utilities[tried] = 1.0 / np.maximum(beta, 1e-12) - 1.0
         return self._plug_in_optimum(utilities, ~tried)
 
 
@@ -354,14 +350,11 @@ class StaticPolicy(Policy):
 
     def __init__(self, revenues, horizon, assortment):
         items = tuple(assortment)
-        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in items):
-            raise ValueError("assortment indices must be integers")
-        items = tuple(int(i) for i in items)
-        if any(items[k] >= items[k + 1] for k in range(len(items) - 1)):
-            raise ValueError("assortment indices must be strictly increasing")
-        if items and (items[0] < 1 or items[-1] > len(revenues)):
-            raise ValueError("assortment indices out of range")
-        self.assortment = items
+        # numpy would read (True, 2) as [1, 2].
+        if any(isinstance(i, (bool, np.bool_)) for i in items):
+            raise ValueError("item ids must be integers, not booleans")
+        idx = assortment_indices(items, len(revenues))
+        self.assortment = tuple((idx + 1).tolist())
         super().__init__(revenues, horizon)
 
     def _run(self):

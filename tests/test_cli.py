@@ -180,6 +180,7 @@ class TestBench:
              "must be integers"),
             ({"policy": "adaptive-trisection", "n": 10, "t": 60,
               "params": {"ci_scale": float("inf")}}, "ci_scale must be positive and finite"),
+            ({"policy": "grs", "n": 10, "t": 10.5}, "horizon must be an integer"),
         ],
     )
     def test_bad_cell_fails_before_any_cell_runs(self, tmp_path, tiny_config, capsys, bad_cell, named):
@@ -195,6 +196,39 @@ class TestBench:
         assert len(lines) == 1
         assert lines[0].startswith("error: cell 2 ") and named in lines[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"replications": 2.5}, "replications must be an integer"),
+            ({"replications": True}, "replications must be an integer"),
+            ({"master_seed": "x"}, "master_seed must be an integer"),
+        ],
+    )
+    def test_bad_config_number_fails_before_any_cell_runs(self, tmp_path, capsys, change, named):
+        cfg = {"master_seed": 11, "replications": 2, "cells": [{"policy": "grs", "n": 10, "t": 60}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, **change}))
+        out = tmp_path / "out"
+        assert run_cli(["bench", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cell 0 ") and named in lines[0]
+        assert not out.exists()
+
+    def test_lower_bound_generator_cell(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        cfg = {"generator": "lower_bound_p1", "replications": 2,
+               "cells": [{"policy": "adaptive-trisection", "n": 2, "t": 200}]}
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli(["bench", "--config", str(path), "--out", str(out)]) == 0
+        payload = json.loads((out / "bench_summaries.json").read_text())
+        assert list(payload) == ["adaptive-trisection:n=2:t=200"]
+        assert len(payload["adaptive-trisection:n=2:t=200"]["regrets"]) == 2
+        assert (out / "bench_summaries.csv").read_text().count("\n") == 2
 
     def test_missing_config_exits_one(self, tmp_path):
         assert run_cli(["bench", "--config", str(tmp_path / "nope.json")]) == 1

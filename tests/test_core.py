@@ -13,6 +13,7 @@ from assortbench.core import (
     LevelSetOracle,
     PreparedOffer,
     PurchaseOutcome,
+    assortment_indices,
     brute_force_optimal,
     build_potential_profile,
     choice_probabilities,
@@ -277,6 +278,29 @@ class TestPreparedOffer:
             with pytest.raises(InvalidAssortmentError):
                 PreparedOffer(inst, bad)
 
+    @pytest.mark.parametrize("bad", [(1.7,), ("2",), (True,), ((1, 2),), [[1], [2]]])
+    @pytest.mark.parametrize(
+        "use",
+        [
+            expected_revenue,
+            choice_probabilities,
+            lambda inst, a: sample_purchase(inst, a, np.random.default_rng(0)),
+        ],
+        ids=["expected_revenue", "choice_probabilities", "sample_purchase"],
+    )
+    def test_item_ids_must_be_a_flat_integer_sequence(self, use, bad):
+        inst = Instance([0.5, 0.6], [1.0, 1.0])
+        with pytest.raises(InvalidAssortmentError):
+            use(inst, bad)
+
+    def test_assortment_indices_are_zero_based_int64(self):
+        for ids in ((1, 3), np.array([1, 3], dtype=np.int32), np.array([1, 3], dtype=np.uint8)):
+            idx = assortment_indices(ids, 3)
+            assert idx.dtype == np.int64 and idx.tolist() == [0, 2]
+        assert assortment_indices((), 3).tolist() == []
+        with pytest.raises(InvalidAssortmentError, match="out of range"):
+            assortment_indices((4,), 3)
+
     def test_rejects_offer_of_another_instance(self):
         inst = Instance([0.5, 0.6], [1.0, 1.0])
         offer = PreparedOffer(Instance([0.5, 0.6], [1.0, 1.0]), (1,))
@@ -309,11 +333,15 @@ class TestLevelSets:
 
     def test_negative_theta_rejected(self):
         inst = Instance([0.2], [1.0])
-        with pytest.raises(ValueError):
-            level_set(inst, -0.1)
-        for theta in (-0.1, math.nan):
-            with pytest.raises(ValueError):
-                LevelSetOracle(inst.revenues).level_set(theta)
+        for check in (
+            lambda t: level_set(inst, t),
+            lambda t: potential(inst, t),
+            build_potential_profile(inst).value_at,
+            LevelSetOracle(inst.revenues).level_set,
+        ):
+            for theta in (-0.1, math.nan):
+                with pytest.raises(ValueError, match="theta must be nonnegative"):
+                    check(theta)
 
     def test_synthetic_fraction_near_point_eight(self):
         rng = np.random.default_rng(42)

@@ -10,6 +10,7 @@ from assortbench.harness import (
     run_batch,
     run_episode,
     summaries_to_json,
+    worker_pool,
     write_episode_csv,
 )
 
@@ -131,6 +132,38 @@ class TestRunBatch:
             RunConfig(policy="grs", n=1, horizon=10, generator="lower_bound_p0")
         with pytest.raises(ValueError):
             RunConfig(policy="grs", n=5, horizon=10, generator="file")
+        for bad in (
+            {"replications": 2.5},
+            {"replications": True},
+            {"horizon": 10.5},
+            {"n": np.float64(5.0)},
+            {"master_seed": "x"},
+            {"master_seed": 1.0},
+            {"master_seed": False},
+        ):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                RunConfig(**{"policy": "grs", "n": 5, "horizon": 10, **bad})
+        RunConfig(policy="grs", n=np.int64(5), horizon=10, master_seed=-3)
+
+    @pytest.mark.parametrize("generator, variant", [("lower_bound_p0", "P0"), ("lower_bound_p1", "P1")])
+    def test_lower_bound_generators(self, generator, variant):
+        config = RunConfig(policy="grs", n=4, horizon=100, generator=generator, replications=2)
+        for k in range(2):
+            assert config.build_instance(k) == generate_lower_bound(variant, 4, 100)
+
+    def test_episode_is_one_replication(self):
+        config = RunConfig(
+            policy="thompson", n=10, horizon=80, replications=3, master_seed=4, redraw_instance=True
+        )
+        log = config.episode(2)
+        seed = derive_seed(4, "replication", 2)
+        direct = run_episode(config.build_instance(2), "thompson", 80, seed)
+        assert log.steps == direct.steps and log.realized_rewards == direct.realized_rewards
+        assert run_batch(config).regrets[2] == log.cumulative_regret
+
+    def test_one_worker_maps_in_process(self):
+        with worker_pool(1) as pool:
+            assert pool.map is map
 
 
 class TestScalingStudy:

@@ -316,6 +316,44 @@ class TestStatic:
         with pytest.raises(ValueError):
             StaticPolicy([0.5, 0.6], 5, (2, 1))
 
+    @pytest.mark.parametrize("bad", [(True, 2), (np.True_,), (1.7,), ("2",)])
+    def test_item_ids_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="must be integers"):
+            StaticPolicy([0.5, 0.6], 5, bad)
+
+    def test_numpy_integer_ids_offered_as_python_ints(self):
+        policy = StaticPolicy([0.5, 0.6], 5, (np.int64(1), np.uint8(2)))
+        offer = policy.next_assortment()
+        assert offer == (1, 2) and all(type(i) is int for i in offer)
+
+
+def epochs_started(policy) -> int:
+    """Trisection intervals, estimator epochs (closed ones plus the open
+    one), or golden-ratio probe levels (one cached level set per threshold)."""
+    if hasattr(policy, "interval_history"):
+        return len(policy.interval_history)
+    if hasattr(policy, "epochs_closed"):
+        return policy.epochs_closed + 1
+    return len(policy._level_set_cache)
+
+
+@pytest.mark.parametrize(
+    "name, horizon, at_least",
+    [
+        ("trisection", 20_000, 3),
+        ("adaptive-trisection", 1000, 2),
+        ("ucb", 1000, 2),
+        ("thompson", 1000, 2),
+        ("grs", 2500, 3),
+    ],
+)
+def test_policy_leaves_its_first_epoch(name, horizon, at_least):
+    # Each horizon is long enough for the first epoch to end before T.
+    instance = generate_synthetic(100, seed=1)
+    policy = make_policy(name, instance.revenues, horizon, rng=np.random.default_rng(0))
+    drive(policy, instance, horizon)
+    assert epochs_started(policy) >= at_least
+
 
 class TestFactory:
     def test_known_names(self):
