@@ -190,8 +190,8 @@ def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
     revenues at the cell's N and T, so that a bad cell fails before any
     cell runs."""
     cells = config.get("cells")
-    if not isinstance(cells, list):
-        raise ValueError("bench config needs a list of cells")
+    if not isinstance(cells, list) or not cells:
+        raise ValueError("bench config needs a nonempty list of cells")
     generator = config.get("generator", "synthetic")
     configs = []
     for k, cell in enumerate(cells):

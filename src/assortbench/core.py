@@ -82,11 +82,12 @@ def _check_theta(theta: float) -> None:
 
 
 def _check_utilities(v: np.ndarray) -> None:
-    # Array methods rather than np.all/np.any: this runs once per plug-in
-    # optimization, where the function wrappers' overhead shows.
-    if not np.isfinite(v).all():
+    # Two reductions instead of elementwise tests: this runs once per plug-in
+    # optimization. A NaN anywhere makes both the minimum and the maximum NaN.
+    lo = v.min()
+    if not (math.isfinite(lo) and math.isfinite(v.max())):
         raise ValueError("utilities must be finite")
-    if (v < 0.0).any():
+    if lo < 0.0:
         raise ValueError("utilities must be nonnegative")
 
 
@@ -306,7 +307,7 @@ class LevelSetOracle:
         v_desc = v[self.order]
         cum_v = v_desc.cumsum()
         cum_rv = (self.sorted_revenues * v_desc).cumsum()
-        return cum_rv[self._ends] / (1.0 + cum_v[self._ends])
+        return (cum_rv / (1.0 + cum_v))[self._ends]
 
     def values(self, utilities) -> np.ndarray:
         """R({r >= s}) under ``utilities`` for each threshold s (ascending).
@@ -322,12 +323,12 @@ class LevelSetOracle:
         size = int((-self.sorted_revenues).searchsorted(-theta, side="right"))
         return tuple((np.sort(self.order[:size]) + 1).tolist())
 
-    def best_indices(self, utilities):
-        """Best level set under ``utilities`` as ascending 0-based item
-        indices, and its expected revenue.
+    def best_prefix(self, utilities):
+        """Size of the best level set under ``utilities`` (a prefix of
+        ``order``) and its expected revenue.
 
         Ties are broken toward the smallest level set (largest threshold);
-        when no level set earns a positive revenue no index and 0.0 are
+        when no level set earns a positive revenue, size 0 and 0.0 are
         returned.
         """
         values = self._prefix_values(utilities)
@@ -335,8 +336,14 @@ class LevelSetOracle:
         i = int(values.argmax())
         value = values[i]
         if not value > 0.0:
-            return np.empty(0, dtype=np.intp), 0.0
-        return np.sort(self.order[: self._ends[i] + 1]), float(value)
+            return 0, 0.0
+        return int(self._ends[i]) + 1, float(value)
+
+    def best_indices(self, utilities):
+        """Best level set under ``utilities`` as ascending 0-based item
+        indices, and its expected revenue; see ``best_prefix``."""
+        size, value = self.best_prefix(utilities)
+        return np.sort(self.order[:size]), value
 
 
 def build_potential_profile(instance: Instance) -> PotentialProfile:

@@ -189,7 +189,9 @@ class _EpochEstimatorPolicy(Policy):
 
     The current assortment is offered repeatedly until a no-purchase
     outcome closes the epoch; per-epoch purchase counts are unbiased
-    estimates of the item utilities.
+    estimates of the item utilities. The first epoch offers every item, so
+    each later epoch sees every item tried and re-solves its offer from the
+    estimates alone.
     """
 
     def _pick_assortment(self):
@@ -198,12 +200,13 @@ class _EpochEstimatorPolicy(Policy):
 
     def _run(self):
         n = self.revenues.size
-        self._offer = ((), np.empty(0, dtype=np.intp))  # last (assortment, index array)
+        idx = np.arange(n)
+        assortment = tuple(range(1, n + 1))
+        self._offer_size, self._offer = n, (assortment, idx)  # last offer and its size
         self.epoch_counts = np.zeros(n)  # epochs in which item i was offered
         self.purchase_totals = np.zeros(n)  # purchases of item i across those epochs
         self.epochs_closed = 0
         while True:
-            assortment, idx = self._pick_assortment()
             bought = []  # 0-based items purchased in this epoch
             while True:
                 outcome = yield assortment
@@ -215,31 +218,22 @@ class _EpochEstimatorPolicy(Policy):
             for i in bought:  # integer-valued floats: exact in any order
                 totals[i] += 1.0
             self.epochs_closed += 1
+            assortment, idx = self._pick_assortment()
 
-    def _plug_in_optimum(self, utilities: np.ndarray, force_include: np.ndarray):
-        """Level-set optimum under estimated utilities, with untried items
-        forced into the offer so they get explored: (assortment of 1-based
-        items, ascending 0-based index array).
+    def _plug_in_optimum(self, utilities: np.ndarray):
+        """Level-set optimum under estimated utilities: (assortment of
+        1-based items, ascending 0-based index array).
 
-        An offer equal to the previous one is handed back as the same
-        objects, so the episode loop skips re-hashing the tuple.
+        The offer is the prefix of the revenue order whose length
+        ``best_prefix`` gives, so an unchanged length hands back the previous
+        offer as the same objects and the episode loop skips re-hashing it.
         """
-        idx, _ = self._levels.best_indices(utilities)
-        if force_include.any():
-            merged = force_include.copy()
-            merged[idx] = True
-            idx = np.flatnonzero(merged)
-        last = self._offer
-        # Compared by hand: np.array_equal's wrapper costs as much as the test.
-        if last[1].shape == idx.shape and (last[1] == idx).all():
-            return last
-        self._offer = offer = (tuple((idx + 1).tolist()), idx)
-        return offer
-
-
-# Stand-in utility for items that were never offered; large enough to make
-# their inclusion dominate any plug-in optimization.
-_OPTIMISTIC_UTILITY = 1e9
+        size, _ = self._levels.best_prefix(utilities)
+        if size != self._offer_size:
+            idx = np.sort(self._levels.order[:size])
+            self._offer_size = size
+            self._offer = (tuple((idx + 1).tolist()), idx)
+        return self._offer
 
 
 class UcbPolicy(_EpochEstimatorPolicy):
@@ -258,18 +252,19 @@ class UcbPolicy(_EpochEstimatorPolicy):
         """Current optimistic utility index (inf for never-offered items)."""
         # Every item is indexed with T_i >= 1, then the untried ones are
         # overwritten: elementwise the same values as indexing only the tried.
-        t_i = np.maximum(self.epoch_counts, 1.0)
-        vbar = self.purchase_totals / t_i
-        log_term = math.log(math.sqrt(self.revenues.size) * (self.epochs_closed + 1) + 1.0)
-        out = vbar + self.C1 * np.sqrt(vbar * log_term / t_i) + self.C2 * log_term / t_i
+        out = self._index(np.maximum(self.epoch_counts, 1.0))
         out[self.epoch_counts == 0] = np.inf
         return out
 
+    def _index(self, t_i: np.ndarray) -> np.ndarray:
+        """The optimistic index for epoch counts ``t_i``, each at least 1."""
+        vbar = self.purchase_totals / t_i
+        log_term = math.log(math.sqrt(self.revenues.size) * (self.epochs_closed + 1) + 1.0)
+        return vbar + self.C1 * np.sqrt(vbar * log_term / t_i) + self.C2 * log_term / t_i
+
     def _pick_assortment(self):
-        untried = self.epoch_counts == 0
-        index = self.utility_ucb()
-        index[untried] = _OPTIMISTIC_UTILITY
-        return self._plug_in_optimum(index, untried)
+        # The first epoch offered every item, so every count is already >= 1.
+        return self._plug_in_optimum(self._index(self.epoch_counts))
 
 
 class ThompsonPolicy(_EpochEstimatorPolicy):
@@ -277,8 +272,8 @@ class ThompsonPolicy(_EpochEstimatorPolicy):
 
     For item i with n_i closed epochs and V_i total purchases, sample
     B ~ Beta(n_i, V_i + 1) — the posterior of the epoch-stopping
-    probability 1/(1 + v_i) — and use 1/B - 1 as the utility;
-    never-offered items get the optimistic draw 1.
+    probability 1/(1 + v_i) — and use 1/B - 1 as the utility. The first
+    epoch offers every item, so every later draw has n_i >= 1.
     """
 
     def __init__(self, revenues, horizon, *, rng=None):
@@ -286,12 +281,8 @@ class ThompsonPolicy(_EpochEstimatorPolicy):
         super().__init__(revenues, horizon)
 
     def _pick_assortment(self):
-        tried = self.epoch_counts > 0
-        utilities = np.ones(self.revenues.size)
-        # With no item tried the draw is empty and leaves the stream as it is.
-        beta = self.rng.beta(self.epoch_counts[tried], self.purchase_totals[tried] + 1.0)
-        utilities[tried] = 1.0 / np.maximum(beta, 1e-12) - 1.0
-        return self._plug_in_optimum(utilities, ~tried)
+        beta = self.rng.beta(self.epoch_counts, self.purchase_totals + 1.0)
+        return self._plug_in_optimum(1.0 / np.maximum(beta, 1e-12) - 1.0)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -218,6 +218,16 @@ class TestBench:
         assert lines[0].startswith("error: cell 0 ") and named in lines[0]
         assert not out.exists()
 
+    def test_empty_cell_list_fails(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"replications": 2.5, "master_seed": "x", "cells": []}))
+        out = tmp_path / "out"
+        assert run_cli(["bench", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: bench config needs a nonempty list of cells"]
+        assert not out.exists()
+
     def test_lower_bound_generator_cell(self, tmp_path):
         path = tmp_path / "cfg.json"
         cfg = {"generator": "lower_bound_p1", "replications": 2,

@@ -129,16 +129,6 @@ def quarter_grid_cases(max_items: int):
     )
 
 
-def set_sorted_merge(assortment, force_include):
-    """The set-and-sort merge of forced items the estimator policies ran
-    before the boolean mask."""
-    if force_include.any():
-        merged = set(assortment)
-        merged.update(int(i) + 1 for i in np.flatnonzero(force_include))
-        return tuple(sorted(merged))
-    return assortment
-
-
 def cumsum_sample(instance, assortment, rng):
     """The sampler ``sample_purchase`` ran before ``PreparedOffer``: the
     cumulative utilities rebuilt on every call."""
@@ -485,18 +475,32 @@ class TestOptimalAssortment:
         assert idx.dtype == ref_idx.dtype
         assert idx.tolist() == ref_idx.tolist()
         assert repr(value) == repr(ref_value)
+        assert levels.best_prefix(utilities) == (idx.size, value)
 
     @settings(max_examples=150, deadline=None)
     @given(edgy_instances(20), st.data())
-    def test_mask_merge_matches_set_merge(self, inst, data):
-        force = np.array(
-            data.draw(st.lists(st.booleans(), min_size=inst.n, max_size=inst.n)), dtype=bool
-        )
+    def test_plug_in_optimum_follows_best_indices(self, inst, data):
         policy = UcbPolicy(inst.revenues, 10)
-        best, _ = oracle_optimal(inst)
-        merged, idx = policy._plug_in_optimum(inst.utilities, force)
-        assert merged == set_sorted_merge(best, force)
-        assert idx.tolist() == [i - 1 for i in merged]
+        levels = LevelSetOracle(inst.revenues)
+        # A few utility vectors re-drawn in any order, so sizes repeat.
+        pool = data.draw(
+            st.lists(
+                st.lists(_edgy_utility, min_size=inst.n, max_size=inst.n), min_size=1, max_size=4
+            )
+        )
+        sequence = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        previous = policy._offer
+        for utilities in [inst.utilities.tolist(), *sequence]:
+            offer = policy._plug_in_optimum(np.array(utilities))
+            idx, _ = levels.best_indices(utilities)
+            assert offer[1].dtype == idx.dtype
+            assert offer[1].tolist() == idx.tolist()
+            assert offer[0] == tuple((idx + 1).tolist())
+            if idx.size == previous[1].size:
+                assert offer is previous
+            else:
+                assert offer is not previous
+            previous = offer
 
     def test_revenues_checked_once_at_construction(self):
         for bad in ([1.5], [-0.1], [float("nan")], [], [[0.5]]):
@@ -505,11 +509,20 @@ class TestOptimalAssortment:
 
     def test_utilities_checked_on_every_call(self):
         levels = LevelSetOracle([0.5, 0.6])
-        for bad in ([1.0, -1.0], [1.0, float("inf")], [1.0, float("nan")], [1.0]):
-            with pytest.raises(ValueError):
-                levels.values(bad)
-            with pytest.raises(ValueError):
-                levels.best_indices(bad)
+        cases = [
+            ([1.0, -1.0], "nonnegative"),
+            ([-1.0, 0.0], "nonnegative"),
+            ([1.0, math.inf], "finite"),
+            ([-math.inf, 1.0], "finite"),
+            ([-1.0, math.inf], "finite"),
+            ([1.0, math.nan], "finite"),
+            ([math.nan, -1.0], "finite"),
+            ([1.0], "length mismatch"),
+        ]
+        for bad, named in cases:
+            for check in (levels.values, levels.best_prefix, levels.best_indices):
+                with pytest.raises(ValueError, match=named):
+                    check(bad)
 
     def test_brute_force_cap(self):
         n = BRUTE_FORCE_MAX_ITEMS + 1

@@ -167,10 +167,6 @@ class TestAdaptiveTrisection:
 
 
 class TestUcb:
-    def test_first_offer_includes_everything(self):
-        policy = UcbPolicy([0.3, 0.6, 0.9], 100)
-        assert policy.next_assortment() == (1, 2, 3)
-
     def test_optimism(self):
         inst = generate_synthetic(20, seed=4)
         policy = UcbPolicy(inst.revenues, 2000)
@@ -214,12 +210,12 @@ class TestUcb:
 
     def test_plug_in_optimum_reuses_only_the_last_offer(self):
         policy = UcbPolicy([0.2, 0.5, 0.9], 10)
-        none = np.zeros(3, dtype=bool)
-        first = policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]), none)
-        assert policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]), none) is first
-        other = policy._plug_in_optimum(np.array([0.0, 0.0, 1.0]), none)
+        first = policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]))
+        assert first[0] == (2, 3)
+        assert policy._plug_in_optimum(np.array([1.0, 1.0, 1.0])) is first
+        other = policy._plug_in_optimum(np.array([0.0, 0.0, 1.0]))
         assert other[0] == (3,) and other[0] != first[0]
-        again = policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]), none)
+        again = policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]))
         assert again[0] == first[0] and again[0] is not first[0]
 
     def test_epoch_counts_unbiased_single_item(self):
@@ -255,6 +251,18 @@ class TestThompson:
             return drive(policy, inst, 500, seed=22)
 
         assert one_run() == one_run()
+
+
+@pytest.mark.parametrize("name", ["ucb", "thompson"])
+@pytest.mark.parametrize(
+    "revenues", [[0.3, 0.6, 0.9], [0.5], [0.0], [0.4, 0.9, 0.4, 0.4], [0.0, 0.0]]
+)
+def test_first_offer_includes_everything(name, revenues):
+    # Every later re-solve relies on each item having been tried once.
+    policy = make_policy(name, revenues, 100, rng=np.random.default_rng(0))
+    assert policy.next_assortment() == tuple(range(1, len(revenues) + 1))
+    policy.observe(NO_PURCHASE)
+    assert policy.epoch_counts.min() >= 1
 
 
 @pytest.mark.parametrize("name", ["ucb", "thompson", "trisection", "grs"])
