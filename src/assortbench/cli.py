@@ -278,10 +278,12 @@ def _cmd_verify(args) -> int:
 def _cmd_lower_bound(args) -> int:
     p0 = generate_lower_bound("P0", args.n, args.t)
     p1 = generate_lower_bound("P1", args.n, args.t)
+    params = _policy_params(args)
+    # A bad policy or params fails here, before anything is printed.
+    make_policy(args.policy, p0.revenues, args.t, params=params)
     for assortment in ((1,), (1, 2)):
         kl = core.kl_purchase_distributions(p0, p1, assortment)
         print(f"KL(P0||P1) on S={assortment}: {kl:.3e} (bound {1/(18*args.t):.3e})")
-    params = _policy_params(args)
     outputs = []
     for variant, inst in (("P0", p0), ("P1", p1)):
         for k in range(args.reps):

@@ -11,20 +11,23 @@ other structural properties.
 Assortments are strictly increasing sequences of integer 1-based item ids.
 Instances, prepared offers, level-set oracles and potential profiles are
 immutable after construction and safe to share across threads; only the
-caller-owned random generator is mutated by sampling.
+caller-owned uniform source (anything whose ``random()`` returns the next
+uniform, such as a numpy ``Generator``) is advanced by sampling.
 
 A ``PreparedOffer`` is the one MNL purchase distribution: the functions
-over assortments delegate to it. ``run_episode`` prepares each distinct offer
-once and logs one tuple per distinct offer. A ``LevelSetOracle`` sorts a
-revenue vector once; policies read their level sets off it, and a level-set
-optimization is one pass over the revenue-sorted prefixes. ``level_set``'s
-plain mask stays as the independent reference.
+over assortments delegate to it. Its draw is one uniform and a bisection
+over memoryviews, creating no numpy scalar. ``run_episode`` prepares each
+distinct offer once and logs one tuple per distinct offer. A
+``LevelSetOracle`` sorts a revenue vector once; policies read their level
+sets off it, and a level-set optimization is one pass over the
+revenue-sorted prefixes. ``level_set``'s plain mask stays as the
+independent reference.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +72,10 @@ class PurchaseOutcome:
     revenue: float
 
 
+# Every no-purchase draw returns this one outcome; the class is frozen.
+_NO_PURCHASE = PurchaseOutcome(0, 0.0)
+
+
 def _check_revenues(r: np.ndarray) -> None:
     if not np.all(np.isfinite(r)):
         raise ValueError("revenues must be finite")
@@ -92,7 +99,8 @@ def _check_utilities(v: np.ndarray) -> None:
 
 
 class Instance:
-    """One MNL environment: revenues in [0, 1] and nonnegative utilities.
+    """One MNL environment: revenues in [0, 1] and nonnegative utilities
+    whose total 1 + sum(v) is finite.
 
     Both vectors have the same length N >= 1 and are stored as read-only
     float arrays. Item i (1-based) has revenue ``revenues[i-1]`` and
@@ -112,6 +120,11 @@ class Instance:
             raise ValueError("instance needs at least one item")
         _check_revenues(r)
         _check_utilities(v)
+        # Every revenue formula divides by 1 + sum(v).
+        with np.errstate(over="ignore"):
+            total = 1.0 + v.sum()
+        if not math.isfinite(total):
+            raise ValueError("total utility 1 + sum(v) must be finite")
         r.setflags(write=False)
         v.setflags(write=False)
         self.revenues = r
@@ -173,10 +186,13 @@ class PreparedOffer:
 
     Validates the assortment once and holds the 0-based item indices and
     the cumulative utilities in item order, so each draw costs one uniform
-    and a binary search.
+    and a binary search. The search and the item lookup read memoryviews
+    of these arrays, so a draw creates Python ints and floats only.
     """
 
-    __slots__ = ("instance", "indices", "cum_utilities", "_scale")
+    __slots__ = (
+        "instance", "indices", "cum_utilities", "_scale", "_cum", "_items", "_revenues", "_last"
+    )
 
     def __init__(self, instance: Instance, assortment):
         idx = assortment_indices(assortment, instance.n)
@@ -188,6 +204,10 @@ class PreparedOffer:
         self.cum_utilities = cum
         # 1 + total utility of the offer (1 for the empty offer).
         self._scale = float(1.0 + cum[-1]) if idx.size else 1.0
+        self._cum = memoryview(cum)
+        self._items = memoryview(idx)
+        self._revenues = memoryview(instance.revenues)
+        self._last = idx.size - 1
 
     def expected_revenue(self) -> float:
         """sum(r v) / (1 + sum(v)) over the offer; 0 for the empty offer."""
@@ -203,18 +223,20 @@ class PreparedOffer:
     def sample(self, rng) -> PurchaseOutcome:
         """Draw one purchase decision; advances ``rng`` by exactly one uniform.
 
-        The uniform u picks no purchase when u (1 + sum v) < 1 and otherwise
-        the first item whose cumulative utility exceeds u (1 + sum v) - 1.
+        ``rng`` is anything whose ``random()`` returns the next uniform in
+        [0, 1), such as a numpy ``Generator``. The uniform u picks no
+        purchase when u (1 + sum v) < 1 and otherwise the first item whose
+        cumulative utility exceeds u (1 + sum v) - 1 (``bisect_right``
+        makes the comparisons of ``searchsorted(side="right")``).
         """
         scaled = rng.random() * self._scale
         if scaled < 1.0:
-            return PurchaseOutcome(0, 0.0)
-        cum = self.cum_utilities
-        pos = int(cum.searchsorted(scaled - 1.0, side="right"))
-        if pos >= cum.size:  # float edge at the top of the range
-            pos = cum.size - 1
-        i = self.indices[pos]
-        return PurchaseOutcome(int(i) + 1, float(self.instance.revenues[i]))
+            return _NO_PURCHASE
+        pos = bisect_right(self._cum, scaled - 1.0)
+        if pos > self._last:  # float edge at the top of the range
+            pos = self._last
+        i = self._items[pos]
+        return PurchaseOutcome(i + 1, self._revenues[i])
 
 
 def _prepared(instance: Instance, assortment) -> PreparedOffer:
@@ -244,7 +266,8 @@ def sample_purchase(instance: Instance, assortment, rng) -> PurchaseOutcome:
     """Draw one purchase decision; advances ``rng`` by exactly one uniform.
 
     ``assortment`` is an index sequence or a ``PreparedOffer`` built for
-    ``instance``; the latter skips validation and the utility sums.
+    ``instance``; the latter skips validation and the utility sums. ``rng``
+    is anything whose ``random()`` returns the next uniform.
     """
     return _prepared(instance, assortment).sample(rng)
 

@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 
+# Customer uniforms drawn per block: bounded memory at any horizon.
+UNIFORM_BLOCK = 4096
+
+
 def derive_seed(master_seed: int, *tokens) -> int:
     """Deterministic 64-bit seed derived from a master seed and a token
     path, via BLAKE2b over the decimal renderings joined by '/'."""
@@ -149,6 +153,16 @@ class RunConfig:
         )
 
 
+def _block_uniforms(rng, count: int):
+    """The next ``count`` doubles of ``rng.random()``, drawn ``UNIFORM_BLOCK``
+    at a time. numpy's ``Generator`` yields the same doubles in blocks as
+    one at a time, so the stream is unchanged while memory stays bounded."""
+    while count > 0:
+        k = min(count, UNIFORM_BLOCK)
+        yield from rng.random(k).tolist()
+        count -= k
+
+
 def run_episode(
     instance: Instance,
     policy_name: str,
@@ -160,37 +174,52 @@ def run_episode(
     """Drive the next/observe loop for exactly ``horizon`` periods.
 
     Customer purchases and policy-internal randomness use independent
-    streams derived from ``seed``. Regret per period is the gap in
-    expected revenue against the optimal assortment under the true
-    instance. Each distinct offer is prepared and valued once per episode,
-    so a repeated offer costs O(log |S|) per period.
+    streams derived from ``seed``; the customer stream serves only the
+    purchases, one uniform each, and is drawn in blocks of ``UNIFORM_BLOCK``.
+    Regret per period is the gap in expected revenue against the optimal
+    assortment under the true instance. Each distinct offer is prepared and
+    valued once per episode, and the last two offers are matched by
+    identity before the dict, so a repeated offer costs O(log |S|) per
+    period and hashes nothing.
     """
     customer_rng = np.random.default_rng(derive_seed(seed, "customer"))
+    customers = SimpleNamespace(random=_block_uniforms(customer_rng, horizon).__next__)
     policy_rng = np.random.default_rng(derive_seed(seed, "policy"))
     policy = make_policy(
         policy_name, instance.revenues, horizon, rng=policy_rng, params=policy_params
     )
     _, optimal_value = oracle_optimal(instance)
     log = EpisodeLog(policy_name=policy_name, seed=seed, optimal_value=optimal_value)
-    prepared: dict = {}  # assortment -> (first tuple, PreparedOffer, expected revenue)
-    previous = None
+    add_step = log.steps.append
+    add_assortment = log.assortments.append
+    add_reward = log.realized_rewards.append
+    # assortment -> (first tuple, PreparedOffer, size, expected revenue, regret)
+    prepared: dict = {}
+    # The last two offers and their entries, latest first. Tuples do not
+    # cache their hash, so a dict lookup costs O(|S|); policies hand back
+    # the same tuple while an offer repeats, and trisection alternates two.
+    last = other = last_entry = other_entry = None
     for t in range(1, horizon + 1):
         assortment = policy.next_assortment()
-        # Tuples do not cache their hash, so a dict lookup costs O(|S|);
-        # policies hand back the same tuple while an offer repeats.
-        if assortment is not previous:
-            entry = prepared.get(assortment)
-            if entry is None:
-                offer = PreparedOffer(instance, assortment)
-                value = expected_revenue(instance, offer)
-                entry = prepared[assortment] = (assortment, offer, value)
-            kept, offer, value = entry
-            previous = assortment
-        outcome = sample_purchase(instance, offer, customer_rng)
+        if assortment is not last:
+            if assortment is other:
+                entry = other_entry
+            else:
+                entry = prepared.get(assortment)
+                if entry is None:
+                    offer = PreparedOffer(instance, assortment)
+                    value = expected_revenue(instance, offer)
+                    entry = prepared[assortment] = (
+                        assortment, offer, len(assortment), value, optimal_value - value
+                    )
+            other, other_entry = last, last_entry
+            last, last_entry = assortment, entry
+            kept, offer, size, value, regret = entry
+        outcome = sample_purchase(instance, offer, customers)
         policy.observe(outcome)
-        log.steps.append((t, len(kept), value, optimal_value - value))
-        log.assortments.append(kept)
-        log.realized_rewards.append(outcome.revenue)
+        add_step((t, size, value, regret))
+        add_assortment(kept)
+        add_reward(outcome.revenue)
     return log
 
 

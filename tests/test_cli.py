@@ -293,3 +293,12 @@ class TestLowerBound:
         out = capsys.readouterr().out
         assert "KL(P0||P1)" in out
         assert "tester output 0" in out
+
+    def test_bad_policy_fails_before_any_output(self, capsys):
+        code = run_cli(["lower-bound", "--policy", "static", "--t", "1", "--reps", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: static policy requires an 'assortment' parameter"
+        ]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,6 +161,9 @@ class TestInstance:
             Instance([float("nan")], [1.0])
         with pytest.raises(ValueError):
             Instance([0.5], [float("inf")])
+        # Finite utilities whose total 1 + sum(v) overflows.
+        with pytest.raises(ValueError, match="total utility"):
+            Instance([1.0, 1.0], [1e308, 1e308])
 
     def test_arrays_read_only(self):
         inst = Instance([0.5], [1.0])
@@ -243,18 +247,31 @@ class TestSamplePurchase:
 class TestPreparedOffer:
     @settings(max_examples=150, deadline=None)
     @given(edgy_offers(12), st.integers(min_value=0, max_value=2**32 - 1))
+    # u = 1/2 lands on the cumulative utilities [1, 1, 3] exactly.
+    @example(case=(Instance([0.5, 0.5, 0.5], [1.0, 0.0, 2.0]), (1, 2, 3)), seed=0)
     def test_twin_streams_agree_and_advance_one_draw_per_sample(self, case, seed):
         inst, assortment = case
         offer = PreparedOffer(inst, assortment)
         via_offer, via_function, via_cumsum, counter = (
             np.random.default_rng(seed) for _ in range(4)
         )
+        # A pre-drawn block: uniforms that put u (1 + sum v) - 1 on each
+        # cumulative utility, then the seed's stream.
+        cum = offer.cum_utilities.tolist()
+        edges = [u for u in ((1.0 + c) / (1.0 + cum[-1]) for c in cum) if u < 1.0]
+        block = edges + np.random.default_rng(seed).random(21).tolist()
+        via_block = SimpleNamespace(random=iter(block).__next__)
+        edges_via_cumsum = SimpleNamespace(random=iter(edges).__next__)
+        for _ in edges:
+            out = offer.sample(via_block)
+            assert out == cumsum_sample(inst, assortment, edges_via_cumsum)
         for _ in range(20):
             out = offer.sample(via_offer)
             assert out == sample_purchase(inst, assortment, via_function)
             assert out == cumsum_sample(inst, assortment, via_cumsum)
+            assert out == offer.sample(via_block)
             counter.random()
-        assert via_offer.random() == via_function.random() == counter.random()
+        assert via_offer.random() == via_function.random() == counter.random() == via_block.random()
 
     def test_holds_indices_and_cumulative_utilities(self):
         inst = Instance([0.1, 0.2, 0.3], [1.0, 2.0, 4.0])

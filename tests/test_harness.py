@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from assortbench.core import oracle_optimal
+from assortbench import harness
+from assortbench.core import expected_revenue, oracle_optimal, sample_purchase
 from assortbench.generators import generate_lower_bound, generate_synthetic, lower_bound_tester
 from assortbench.harness import (
+    UNIFORM_BLOCK,
     RunConfig,
     derive_seed,
     regret_scaling_study,
@@ -95,6 +97,51 @@ class TestRunEpisode:
         b = run_episode(inst, "thompson", 300, 9)
         assert a.assortments == b.assortments
         assert a.realized_rewards == b.realized_rewards
+
+    def test_block_uniforms_equal_one_draw_per_period(self):
+        # Two block boundaries and a partial last block.
+        horizon = 2 * UNIFORM_BLOCK + 7
+        inst = generate_synthetic(30, seed=6)
+        _, optimal_value = oracle_optimal(inst)
+        offer = tuple(range(1, 31))
+        log = run_episode(inst, "static", horizon, 5, policy_params={"assortment": offer})
+        rng = np.random.default_rng(derive_seed(5, "customer"))
+        rewards = [sample_purchase(inst, offer, rng).revenue for _ in range(horizon)]
+        assert log.realized_rewards == rewards
+        regret = optimal_value - expected_revenue(inst, offer)
+        assert [s[3] for s in log.steps] == [regret] * horizon
+
+    def test_last_two_offers_are_matched_without_hashing(self, monkeypatch):
+        class CountingOffer(tuple):
+            hashes = 0
+
+            def __hash__(self):
+                self.hashes += 1
+                return super().__hash__()
+
+        # A and B alternate, then C pushes A out of the last two offers
+        # and A returns: A B A B ... C B C A.
+        a, b, c = CountingOffer((1, 2)), CountingOffer((3,)), CountingOffer((1, 4, 5))
+        sequence = [a, b] * 500 + [c, b, c, a]
+
+        class Replay:
+            def __init__(self, *args, **kwargs):
+                self._offers = iter(sequence)
+
+            def next_assortment(self):
+                return next(self._offers)
+
+            def observe(self, outcome):
+                pass
+
+        monkeypatch.setattr(harness, "make_policy", Replay)
+        inst = generate_synthetic(10, seed=1)
+        log = harness.run_episode(inst, "static", len(sequence), seed=1)
+        # A dict lookup and an insert each, and one more lookup for A's return.
+        assert b.hashes <= 2 and c.hashes <= 2 and a.hashes <= 3
+        assert log.assortments == sequence
+        assert [s[1] for s in log.steps] == [len(offer) for offer in sequence]
+        assert [s[2] for s in log.steps] == [expected_revenue(inst, o) for o in sequence]
 
 
 class TestRunBatch:

@@ -274,8 +274,17 @@ def test_episode_values_each_distinct_offer_once(monkeypatch, name):
         calls.append(tuple(int(i) + 1 for i in assortment.indices))
         return expected_revenue(instance, assortment)
 
+    draws = []
+    sample_purchase = harness.sample_purchase
+
+    def counting_sample_purchase(instance, assortment, rng):
+        draws.append(1)
+        return sample_purchase(instance, assortment, rng)
+
     monkeypatch.setattr(harness, "expected_revenue", counting_expected_revenue)
+    monkeypatch.setattr(harness, "sample_purchase", counting_sample_purchase)
     log = harness.run_episode(generate_synthetic(40, seed=9), name, 1500, seed=9)
+    assert len(draws) == 1500
     assert len(set(log.assortments)) > 1
     assert sorted(calls) == sorted(set(log.assortments))
     assert len({id(a) for a in log.assortments}) == len(set(log.assortments))
