@@ -20,7 +20,8 @@ over memoryviews, creating no numpy scalar. ``run_episode`` prepares each
 distinct offer once and logs one tuple per distinct offer. A
 ``LevelSetOracle`` sorts a revenue vector once; policies read their level
 sets off it, and a level-set optimization is one pass over the
-revenue-sorted prefixes. ``level_set``'s plain mask stays as the
+revenue-sorted prefixes, taking utilities in item order or already in
+revenue rank order. ``level_set``'s plain mask stays as the
 independent reference.
 """
 
@@ -88,14 +89,27 @@ def _check_theta(theta: float) -> None:
         raise ValueError("theta must be nonnegative")
 
 
-def _check_utilities(v: np.ndarray) -> None:
-    # Two reductions instead of elementwise tests: this runs once per plug-in
-    # optimization. A NaN anywhere makes both the minimum and the maximum NaN.
-    lo = v.min()
-    if not (math.isfinite(lo) and math.isfinite(v.max())):
+@np.errstate(over="ignore")  # per call, a decorator costs less than `with`
+def _utility_sums(v: np.ndarray) -> np.ndarray:
+    """Running sums of the utilities ``v`` (sequential, the bits of
+    ``cumsum``), once they are checked: finite, nonnegative, and with a
+    finite total 1 + sum(v).
+
+    A NaN makes the minimum NaN, and with no NaN or -inf an infinite
+    utility makes the last running sum infinite, so two reductions check
+    everything; an overflowing total raises instead of warning.
+    """
+    lo = np.minimum.reduce(v)
+    if not math.isfinite(lo):
         raise ValueError("utilities must be finite")
+    sums = np.add.accumulate(v)
+    if not math.isfinite(sums[-1]):
+        if np.isinf(v).any():
+            raise ValueError("utilities must be finite")
+        raise ValueError("total utility 1 + sum(v) must be finite")
     if lo < 0.0:
         raise ValueError("utilities must be nonnegative")
+    return sums
 
 
 class Instance:
@@ -119,12 +133,7 @@ class Instance:
         if r.shape[0] < 1:
             raise ValueError("instance needs at least one item")
         _check_revenues(r)
-        _check_utilities(v)
-        # Every revenue formula divides by 1 + sum(v).
-        with np.errstate(over="ignore"):
-            total = 1.0 + v.sum()
-        if not math.isfinite(total):
-            raise ValueError("total utility 1 + sum(v) must be finite")
+        _utility_sums(v)  # every revenue formula divides by 1 + sum(v)
         r.setflags(write=False)
         v.setflags(write=False)
         self.revenues = r
@@ -291,8 +300,10 @@ class LevelSetOracle:
     the distinct revenues (ascending) as thresholds, and for each threshold
     s the size of its level set {i : r_i >= s}, which is a prefix of the
     descending order. One level set is then a binary search away, and
-    evaluating all of them under new utilities costs one gather and two
-    cumulative sums instead of a sort; the best is read off the same pass.
+    evaluating all of them under new utilities costs two running sums
+    instead of a sort; the best is read off the same pass. Callers that
+    keep utilities in rank order (position k of ``order``) call the
+    ``ranked_`` methods; the others gather into rank order first.
     """
 
     def __init__(self, revenues):
@@ -318,33 +329,57 @@ class LevelSetOracle:
         self.prefix_len = prefix_len
         self._ends = ends
 
-    def _prefix_values(self, utilities) -> np.ndarray:
-        """R({r >= s}) under ``utilities`` for each threshold s, largest
-        threshold (smallest level set) first."""
+    def _vector(self, utilities) -> np.ndarray:
+        """``utilities`` as a float array, checked to match the revenues."""
         v = np.asarray(utilities, dtype=float)
         if v.shape != self.revenues.shape:
             raise ValueError(
                 f"length mismatch: {self.revenues.size} revenues vs {v.size} utilities"
             )
-        _check_utilities(v)
-        v_desc = v[self.order]
-        cum_v = v_desc.cumsum()
-        cum_rv = (self.sorted_revenues * v_desc).cumsum()
-        return (cum_rv / (1.0 + cum_v))[self._ends]
+        return v
+
+    def ranked_values(self, ranked_utilities) -> np.ndarray:
+        """R({r >= s}) for each threshold s, largest threshold (smallest
+        level set) first, under utilities given in rank order: entry k is
+        the utility of item ``order[k]``.
+
+        The one level-set kernel behind every method below: two running
+        sums over the prefixes, their ratio formed in place, and a gather at
+        the level-set ends; the result is a new array. Raises ValueError
+        unless the utilities match the revenues in length, are finite and
+        nonnegative, and have a finite total.
+        """
+        v = self._vector(ranked_utilities)
+        cum_v = _utility_sums(v)
+        cum_rv = np.multiply(self.sorted_revenues, v)
+        np.add.accumulate(cum_rv, out=cum_rv)
+        cum_v += 1.0
+        cum_rv /= cum_v
+        # With distinct revenues every prefix is a level set, and the gather
+        # would only copy.
+        return cum_rv[self._ends] if self._ends.size < cum_rv.size else cum_rv
 
     def values(self, utilities) -> np.ndarray:
-        """R({r >= s}) under ``utilities`` for each threshold s (ascending).
-
-        Raises ValueError unless the utilities match the revenues in length
-        and are finite and nonnegative.
-        """
-        return self._prefix_values(utilities)[::-1]
+        """R({r >= s}) under ``utilities`` for each threshold s (ascending);
+        see ``ranked_values`` for the checks."""
+        return self.ranked_values(self._vector(utilities)[self.order])[::-1]
 
     def level_set(self, theta: float) -> tuple:
         """Items (1-based, ascending) whose revenue is >= ``theta``."""
         _check_theta(theta)
         size = int((-self.sorted_revenues).searchsorted(-theta, side="right"))
         return tuple((np.sort(self.order[:size]) + 1).tolist())
+
+    def best_ranked_prefix(self, ranked_utilities):
+        """``best_prefix`` for utilities given in rank order, as
+        ``ranked_values`` takes them."""
+        values = self.ranked_values(ranked_utilities)
+        # The first maximum is the smallest maximizing level set.
+        i = int(values.argmax())
+        value = values[i]
+        if not value > 0.0:
+            return 0, 0.0
+        return int(self._ends[i]) + 1, float(value)
 
     def best_prefix(self, utilities):
         """Size of the best level set under ``utilities`` (a prefix of
@@ -354,13 +389,7 @@ class LevelSetOracle:
         when no level set earns a positive revenue, size 0 and 0.0 are
         returned.
         """
-        values = self._prefix_values(utilities)
-        # The first maximum is the smallest maximizing level set.
-        i = int(values.argmax())
-        value = values[i]
-        if not value > 0.0:
-            return 0, 0.0
-        return int(self._ends[i]) + 1, float(value)
+        return self.best_ranked_prefix(self._vector(utilities)[self.order])
 
     def best_indices(self, utilities):
         """Best level set under ``utilities`` as ascending 0-based item

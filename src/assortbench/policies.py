@@ -192,19 +192,37 @@ class _EpochEstimatorPolicy(Policy):
     estimates of the item utilities. The first epoch offers every item, so
     each later epoch sees every item tried and re-solves its offer from the
     estimates alone.
+
+    Every offer is a prefix of the oracle's revenue order, so the statistics
+    are kept by revenue rank: closing an epoch adds 1 to the first ``size``
+    epoch counts, and estimates built from them are already in the order
+    the oracle's kernel takes. ``epoch_counts`` and ``purchase_totals``
+    give them in item order.
     """
 
     def _pick_assortment(self):
         """The next epoch's offer, as ``_plug_in_optimum`` returns it."""
         raise NotImplementedError
 
+    @property
+    def epoch_counts(self) -> np.ndarray:
+        """Epochs in which item i was offered (a new array, item order)."""
+        return self._counts[self._rank]
+
+    @property
+    def purchase_totals(self) -> np.ndarray:
+        """Purchases of item i across those epochs (a new array, item order)."""
+        return self._totals[self._rank]
+
     def _run(self):
         n = self.revenues.size
-        idx = np.arange(n)
+        # The inverse of the revenue order: item i sits at position rank[i].
+        self._rank = np.argsort(self._levels.order)
+        rank = self._rank.tolist()
         assortment = tuple(range(1, n + 1))
-        self._offer_size, self._offer = n, (assortment, idx)  # last offer and its size
-        self.epoch_counts = np.zeros(n)  # epochs in which item i was offered
-        self.purchase_totals = np.zeros(n)  # purchases of item i across those epochs
+        self._offer_size, self._offer = n, assortment  # last offer and its size
+        self._counts = counts = np.zeros(n)  # by rank: epochs offering the item
+        self._totals = totals = np.zeros(n)  # by rank: purchases in those epochs
         self.epochs_closed = 0
         while True:
             bought = []  # 0-based items purchased in this epoch
@@ -213,26 +231,24 @@ class _EpochEstimatorPolicy(Policy):
                 if outcome.item == 0:
                     break
                 bought.append(outcome.item - 1)
-            self.epoch_counts[idx] += 1.0
-            totals = self.purchase_totals
+            counts[: self._offer_size] += 1.0
             for i in bought:  # integer-valued floats: exact in any order
-                totals[i] += 1.0
+                totals[rank[i]] += 1.0
             self.epochs_closed += 1
-            assortment, idx = self._pick_assortment()
+            assortment = self._pick_assortment()
 
-    def _plug_in_optimum(self, utilities: np.ndarray):
-        """Level-set optimum under estimated utilities: (assortment of
-        1-based items, ascending 0-based index array).
+    def _plug_in_optimum(self, ranked_utilities: np.ndarray) -> tuple:
+        """Level-set optimum under estimated utilities, given in rank order:
+        the assortment of 1-based items.
 
         The offer is the prefix of the revenue order whose length
-        ``best_prefix`` gives, so an unchanged length hands back the previous
-        offer as the same objects and the episode loop skips re-hashing it.
+        ``best_ranked_prefix`` gives, so an unchanged length hands back the
+        previous tuple and the episode loop skips re-hashing it.
         """
-        size, _ = self._levels.best_prefix(utilities)
+        size, _ = self._levels.best_ranked_prefix(ranked_utilities)
         if size != self._offer_size:
-            idx = np.sort(self._levels.order[:size])
             self._offer_size = size
-            self._offer = (tuple((idx + 1).tolist()), idx)
+            self._offer = tuple((np.sort(self._levels.order[:size]) + 1).tolist())
         return self._offer
 
 
@@ -248,23 +264,29 @@ class UcbPolicy(_EpochEstimatorPolicy):
     C1 = math.sqrt(48.0)
     C2 = 48.0
 
-    def utility_ucb(self) -> np.ndarray:
-        """Current optimistic utility index (inf for never-offered items)."""
-        # Every item is indexed with T_i >= 1, then the untried ones are
-        # overwritten: elementwise the same values as indexing only the tried.
-        out = self._index(np.maximum(self.epoch_counts, 1.0))
-        out[self.epoch_counts == 0] = np.inf
-        return out
+    def __init__(self, revenues, horizon):
+        super().__init__(revenues, horizon)
+        self._ucb, self._vbar = np.empty(self.revenues.size), np.empty(self.revenues.size)
 
-    def _index(self, t_i: np.ndarray) -> np.ndarray:
-        """The optimistic index for epoch counts ``t_i``, each at least 1."""
-        vbar = self.purchase_totals / t_i
+    def _index(self) -> np.ndarray:
+        """The optimistic index by rank, in a buffer the next call reuses.
+
+        The first epoch offered every item, so every count is at least 1.
+        The operations are the formula's, in its left-to-right order.
+        """
+        t_i, ucb = self._counts, self._ucb
         log_term = math.log(math.sqrt(self.revenues.size) * (self.epochs_closed + 1) + 1.0)
-        return vbar + self.C1 * np.sqrt(vbar * log_term / t_i) + self.C2 * log_term / t_i
+        vbar = np.divide(self._totals, t_i, out=self._vbar)
+        np.multiply(vbar, log_term, out=ucb)
+        ucb /= t_i
+        np.sqrt(ucb, out=ucb)
+        ucb *= self.C1
+        ucb += vbar
+        ucb += np.divide(self.C2 * log_term, t_i, out=vbar)
+        return ucb
 
     def _pick_assortment(self):
-        # The first epoch offered every item, so every count is already >= 1.
-        return self._plug_in_optimum(self._index(self.epoch_counts))
+        return self._plug_in_optimum(self._index())
 
 
 class ThompsonPolicy(_EpochEstimatorPolicy):
@@ -273,7 +295,8 @@ class ThompsonPolicy(_EpochEstimatorPolicy):
     For item i with n_i closed epochs and V_i total purchases, sample
     B ~ Beta(n_i, V_i + 1) — the posterior of the epoch-stopping
     probability 1/(1 + v_i) — and use 1/B - 1 as the utility. The first
-    epoch offers every item, so every later draw has n_i >= 1.
+    epoch offers every item, so every later draw has n_i >= 1. The draws
+    are made in item order, which fixes the random stream.
     """
 
     def __init__(self, revenues, horizon, *, rng=None):
@@ -282,7 +305,11 @@ class ThompsonPolicy(_EpochEstimatorPolicy):
 
     def _pick_assortment(self):
         beta = self.rng.beta(self.epoch_counts, self.purchase_totals + 1.0)
-        return self._plug_in_optimum(1.0 / np.maximum(beta, 1e-12) - 1.0)
+        sampled = beta[self._levels.order]
+        np.maximum(sampled, 1e-12, out=sampled)
+        np.divide(1.0, sampled, out=sampled)
+        sampled -= 1.0
+        return self._plug_in_optimum(sampled)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -485,14 +485,22 @@ class TestOptimalAssortment:
     def test_one_pass_matches_two_pass_bit_for_bit(self, case):
         revenues, utilities = case
         levels = LevelSetOracle(revenues)
+        ranked = np.asarray(utilities, dtype=float)[levels.order]
         values = levels.values(utilities)
-        assert repr(values.tolist()) == repr(two_pass_values(levels, utilities).tolist())
+        reference = repr(two_pass_values(levels, utilities).tolist())
+        assert repr(values.tolist()) == reference
+        assert repr(levels.ranked_values(ranked)[::-1].tolist()) == reference
         idx, value = levels.best_indices(utilities)
         ref_idx, ref_value = two_pass_best_indices(levels, utilities)
         assert idx.dtype == ref_idx.dtype
         assert idx.tolist() == ref_idx.tolist()
         assert repr(value) == repr(ref_value)
         assert levels.best_prefix(utilities) == (idx.size, value)
+        assert levels.best_ranked_prefix(ranked) == (idx.size, value)
+        # No scratch buffer escapes: later calls leave a returned array alone.
+        levels.values([2.0 * u + 1.0 for u in utilities])
+        levels.ranked_values(ranked[::-1] + 1.0)
+        assert repr(values.tolist()) == reference
 
     @settings(max_examples=150, deadline=None)
     @given(edgy_instances(20), st.data())
@@ -508,12 +516,10 @@ class TestOptimalAssortment:
         sequence = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
         previous = policy._offer
         for utilities in [inst.utilities.tolist(), *sequence]:
-            offer = policy._plug_in_optimum(np.array(utilities))
+            offer = policy._plug_in_optimum(np.array(utilities)[levels.order])
             idx, _ = levels.best_indices(utilities)
-            assert offer[1].dtype == idx.dtype
-            assert offer[1].tolist() == idx.tolist()
-            assert offer[0] == tuple((idx + 1).tolist())
-            if idx.size == previous[1].size:
+            assert offer == tuple((idx + 1).tolist())
+            if idx.size == len(previous):
                 assert offer is previous
             else:
                 assert offer is not previous
@@ -534,10 +540,18 @@ class TestOptimalAssortment:
             ([-1.0, math.inf], "finite"),
             ([1.0, math.nan], "finite"),
             ([math.nan, -1.0], "finite"),
+            ([1e308, 1e308], "must be finite"),  # finite, but the total overflows
             ([1.0], "length mismatch"),
         ]
+        checks = (
+            levels.values,
+            levels.best_prefix,
+            levels.best_indices,
+            levels.ranked_values,
+            levels.best_ranked_prefix,
+        )
         for bad, named in cases:
-            for check in (levels.values, levels.best_prefix, levels.best_indices):
+            for check in checks:
                 with pytest.raises(ValueError, match=named):
                     check(bad)
 

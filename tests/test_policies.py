@@ -24,17 +24,9 @@ from assortbench.policies import (
 NO_PURCHASE = PurchaseOutcome(0, 0.0)
 
 
-def masked_utility_ucb(policy):
-    """The UCB index as ``UcbPolicy.utility_ucb`` computed it before it
-    indexed every item: gathered over the tried items only."""
-    tried = policy.epoch_counts > 0
-    out = np.full(policy.revenues.size, np.inf)
-    if tried.any():
-        t_i = policy.epoch_counts[tried]
-        vbar = policy.purchase_totals[tried] / t_i
-        log_term = math.log(math.sqrt(policy.revenues.size) * (policy.epochs_closed + 1) + 1.0)
-        out[tried] = vbar + policy.C1 * np.sqrt(vbar * log_term / t_i) + policy.C2 * log_term / t_i
-    return out
+def ucb_index(policy):
+    """The index ``UcbPolicy`` re-solves with, gathered into item order."""
+    return policy._index()[policy._rank]
 
 
 def drive(policy, instance, periods, seed=0):
@@ -174,18 +166,26 @@ class TestUcb:
         tried = policy.epoch_counts > 0
         assert tried.any()
         vbar = policy.purchase_totals[tried] / policy.epoch_counts[tried]
-        assert np.all(policy.utility_ucb()[tried] >= vbar - 1e-12)
+        assert np.all(ucb_index(policy)[tried] >= vbar - 1e-12)
 
-    def test_index_equals_masked_reference_elementwise(self):
+    def test_index_equals_item_order_reference_elementwise(self):
+        # The index is built in place, by rank; the formula written over
+        # item order must give the same bits.
         rng = np.random.default_rng(12)
         for trial in range(200):
             n = int(rng.integers(1, 50))
             policy = UcbPolicy(rng.random(n), 100)
-            counts = rng.integers(0, 1000, size=n) * (rng.random(n) < trial / 200)
-            policy.epoch_counts = counts.astype(float)
-            policy.purchase_totals = rng.integers(0, 5000, size=n) * (counts > 0).astype(float)
-            policy.epochs_closed = int(counts.max(initial=0)) + int(rng.integers(0, 100))
-            assert np.array_equal(policy.utility_ucb(), masked_utility_ucb(policy))
+            counts = rng.integers(1, 1000, size=n).astype(float)
+            totals = rng.integers(0, 5000, size=n) * (rng.random(n) < trial / 200).astype(float)
+            policy._counts[policy._rank] = counts
+            policy._totals[policy._rank] = totals
+            policy.epochs_closed = int(counts.max()) + int(rng.integers(0, 100))
+            log_term = math.log(math.sqrt(n) * (policy.epochs_closed + 1) + 1.0)
+            vbar = totals / counts
+            reference = (
+                vbar + policy.C1 * np.sqrt(vbar * log_term / counts) + policy.C2 * log_term / counts
+            )
+            assert np.array_equal(ucb_index(policy), reference)
 
     def test_unchanged_offer_is_handed_back_as_the_same_tuple(self):
         inst = generate_synthetic(30, seed=5)
@@ -210,13 +210,14 @@ class TestUcb:
 
     def test_plug_in_optimum_reuses_only_the_last_offer(self):
         policy = UcbPolicy([0.2, 0.5, 0.9], 10)
+        # Utilities by rank: item 3 first, item 1 last.
         first = policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]))
-        assert first[0] == (2, 3)
+        assert first == (2, 3)
         assert policy._plug_in_optimum(np.array([1.0, 1.0, 1.0])) is first
-        other = policy._plug_in_optimum(np.array([0.0, 0.0, 1.0]))
-        assert other[0] == (3,) and other[0] != first[0]
+        other = policy._plug_in_optimum(np.array([1.0, 0.0, 0.0]))
+        assert other == (3,) and other != first
         again = policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]))
-        assert again[0] == first[0] and again[0] is not first[0]
+        assert again == first and again is not first
 
     def test_epoch_counts_unbiased_single_item(self):
         # Per-epoch purchase count of a single item with utility v is
@@ -263,6 +264,40 @@ def test_first_offer_includes_everything(name, revenues):
     assert policy.next_assortment() == tuple(range(1, len(revenues) + 1))
     policy.observe(NO_PURCHASE)
     assert policy.epoch_counts.min() >= 1
+
+
+@pytest.mark.parametrize("name", ["ucb", "thompson"])
+@pytest.mark.parametrize(
+    "revenues",
+    # Tied revenues, in a revenue order (item 2, then 1, 3, 4) that is its
+    # own inverse, and in one (item 4, 3, 1, 2) that is not.
+    [[0.4, 0.9, 0.4, 0.4], [0.4, 0.4, 0.9, 0.95]],
+)
+def test_statistics_kept_by_rank_match_a_recount(name, revenues):
+    # The offers are prefixes of the revenue order; the statistics are
+    # exposed in item order.
+    inst = Instance(revenues, [0.3, 1.0, 2.0, 0.5])
+    policy = make_policy(name, revenues, 3000, rng=np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    counts, totals = np.zeros(4), np.zeros(4)
+    bought = []  # purchases of the open epoch
+    offers = set()
+    for _ in range(3000):
+        offer = policy.next_assortment()
+        offers.add(offer)
+        outcome = sample_purchase(inst, offer, rng)
+        policy.observe(outcome)
+        if outcome.item:
+            bought.append(outcome.item)
+            continue
+        for item in offer:
+            counts[item - 1] += 1.0
+        for item in bought:
+            totals[item - 1] += 1.0
+        bought.clear()
+    assert len(offers) > 1
+    assert policy.epoch_counts.tolist() == counts.tolist()
+    assert policy.purchase_totals.tolist() == totals.tolist()
 
 
 @pytest.mark.parametrize("name", ["ucb", "thompson", "trisection", "grs"])
