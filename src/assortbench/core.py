@@ -9,20 +9,20 @@ assortment; ``assortbench.properties`` checks this and the potential's
 other structural properties.
 
 Assortments are strictly increasing sequences of integer 1-based item ids.
-Instances, prepared offers, level-set oracles and potential profiles are
-immutable after construction and safe to share across threads; only the
-caller-owned uniform source (anything whose ``random()`` returns the next
-uniform, such as a numpy ``Generator``) is advanced by sampling.
+Instances, prepared offers and potential profiles are immutable after
+construction and safe to share across threads; only the caller-owned
+uniform source (anything whose ``random()`` returns the next uniform, such
+as a numpy ``Generator``) is advanced by sampling. A level-set oracle is
+immutable apart from its memo of prefixes: it may be shared across threads,
+but equal offers are then not guaranteed to be one object.
 
 A ``PreparedOffer`` is the one MNL purchase distribution: the functions
 over assortments delegate to it. Its draw is one uniform and a bisection
-over memoryviews, creating no numpy scalar. ``run_episode`` prepares each
-distinct offer once and logs one tuple per distinct offer. A
-``LevelSetOracle`` sorts a revenue vector once; policies read their level
-sets off it, and a level-set optimization is one pass over the
-revenue-sorted prefixes, taking utilities in item order or already in
-revenue rank order. ``level_set``'s plain mask stays as the
-independent reference.
+over memoryviews, creating no numpy scalar. A ``LevelSetOracle`` sorts a
+revenue vector once; every level set is a prefix of that order, built into
+a tuple once per size by ``prefix``, and a level-set optimization is one
+pass over the prefixes, taking utilities in item or revenue rank order.
+``level_set``'s plain mask stays as the independent reference.
 """
 
 from __future__ import annotations
@@ -328,6 +328,7 @@ class LevelSetOracle:
         self.thresholds = thresholds
         self.prefix_len = prefix_len
         self._ends = ends
+        self._prefixes: dict = {}  # size -> the tuple ``prefix`` returns
 
     def _vector(self, utilities) -> np.ndarray:
         """``utilities`` as a float array, checked to match the revenues."""
@@ -364,15 +365,25 @@ class LevelSetOracle:
         see ``ranked_values`` for the checks."""
         return self.ranked_values(self._vector(utilities)[self.order])[::-1]
 
+    def prefix(self, size: int) -> tuple:
+        """The first ``size`` items of ``order`` as ascending 1-based item
+        ids. Each size is built once: every call with it returns one tuple."""
+        offer = self._prefixes.get(size)
+        if offer is None:
+            offer = self._prefixes[size] = tuple((np.sort(self.order[:size]) + 1).tolist())
+        return offer
+
     def level_set(self, theta: float) -> tuple:
-        """Items (1-based, ascending) whose revenue is >= ``theta``."""
+        """Items (1-based, ascending) whose revenue is >= ``theta``, as the
+        ``prefix`` of that size."""
         _check_theta(theta)
-        size = int((-self.sorted_revenues).searchsorted(-theta, side="right"))
-        return tuple((np.sort(self.order[:size]) + 1).tolist())
+        return self.prefix(int((-self.sorted_revenues).searchsorted(-theta, side="right")))
 
     def best_ranked_prefix(self, ranked_utilities):
-        """``best_prefix`` for utilities given in rank order, as
-        ``ranked_values`` takes them."""
+        """Size of the best level set (a prefix of ``order``) and its
+        expected revenue, under utilities in rank order as ``ranked_values``
+        takes them. Ties go to the smallest level set; when none earns a
+        positive revenue, size 0 and 0.0 are returned."""
         values = self.ranked_values(ranked_utilities)
         # The first maximum is the smallest maximizing level set.
         i = int(values.argmax())
@@ -380,22 +391,6 @@ class LevelSetOracle:
         if not value > 0.0:
             return 0, 0.0
         return int(self._ends[i]) + 1, float(value)
-
-    def best_prefix(self, utilities):
-        """Size of the best level set under ``utilities`` (a prefix of
-        ``order``) and its expected revenue.
-
-        Ties are broken toward the smallest level set (largest threshold);
-        when no level set earns a positive revenue, size 0 and 0.0 are
-        returned.
-        """
-        return self.best_ranked_prefix(self._vector(utilities)[self.order])
-
-    def best_indices(self, utilities):
-        """Best level set under ``utilities`` as ascending 0-based item
-        indices, and its expected revenue; see ``best_prefix``."""
-        size, value = self.best_prefix(utilities)
-        return np.sort(self.order[:size]), value
 
 
 def build_potential_profile(instance: Instance) -> PotentialProfile:
@@ -431,8 +426,9 @@ def oracle_optimal(instance: Instance):
     Ties are broken toward the smallest level set (largest threshold);
     when F* = 0 the empty assortment is returned.
     """
-    idx, value = LevelSetOracle(instance.revenues).best_indices(instance.utilities)
-    return tuple((idx + 1).tolist()), value
+    levels = LevelSetOracle(instance.revenues)
+    size, value = levels.best_ranked_prefix(instance.utilities[levels.order])
+    return levels.prefix(size), value
 
 
 def brute_force_optimal(instance: Instance):

@@ -77,7 +77,10 @@ class EpisodeLog:
 
     @property
     def cumulative_regret(self) -> float:
-        return sum(s[3] for s in self.steps)
+        total = 0.0  # a left fold: the builtin sum is compensated from CPython 3.12
+        for step in self.steps:
+            total += step[3]
+        return total
 
 
 @dataclass(frozen=True)
@@ -177,10 +180,10 @@ def run_episode(
     streams derived from ``seed``; the customer stream serves only the
     purchases, one uniform each, and is drawn in blocks of ``UNIFORM_BLOCK``.
     Regret per period is the gap in expected revenue against the optimal
-    assortment under the true instance. Each distinct offer is prepared and
-    valued once per episode, and the last two offers are matched by
-    identity before the dict, so a repeated offer costs O(log |S|) per
-    period and hashes nothing.
+    assortment under the true instance. Library policies hand back one
+    tuple per distinct offer, so each offer is prepared and valued once per
+    episode and found again by identity: a repeated offer costs O(log |S|)
+    per period and hashes nothing.
     """
     customer_rng = np.random.default_rng(derive_seed(seed, "customer"))
     customers = SimpleNamespace(random=_block_uniforms(customer_rng, horizon).__next__)
@@ -193,32 +196,27 @@ def run_episode(
     add_step = log.steps.append
     add_assortment = log.assortments.append
     add_reward = log.realized_rewards.append
-    # assortment -> (first tuple, PreparedOffer, size, expected revenue, regret)
+    # id(assortment) -> (assortment, PreparedOffer, size, expected revenue,
+    # regret); a tuple does not cache its hash, and the entry holding it
+    # keeps its id from being reused within the episode.
     prepared: dict = {}
-    # The last two offers and their entries, latest first. Tuples do not
-    # cache their hash, so a dict lookup costs O(|S|); policies hand back
-    # the same tuple while an offer repeats, and trisection alternates two.
-    last = other = last_entry = other_entry = None
+    last = None
     for t in range(1, horizon + 1):
         assortment = policy.next_assortment()
         if assortment is not last:
-            if assortment is other:
-                entry = other_entry
-            else:
-                entry = prepared.get(assortment)
-                if entry is None:
-                    offer = PreparedOffer(instance, assortment)
-                    value = expected_revenue(instance, offer)
-                    entry = prepared[assortment] = (
-                        assortment, offer, len(assortment), value, optimal_value - value
-                    )
-            other, other_entry = last, last_entry
-            last, last_entry = assortment, entry
-            kept, offer, size, value, regret = entry
+            last = assortment
+            entry = prepared.get(id(assortment))
+            if entry is None:
+                offer = PreparedOffer(instance, assortment)
+                value = expected_revenue(instance, offer)
+                entry = prepared[id(assortment)] = (
+                    assortment, offer, len(assortment), value, optimal_value - value
+                )
+            _, offer, size, value, regret = entry
         outcome = sample_purchase(instance, offer, customers)
         policy.observe(outcome)
         add_step((t, size, value, regret))
-        add_assortment(kept)
+        add_assortment(assortment)
         add_reward(outcome.revenue)
     return log
 

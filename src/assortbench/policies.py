@@ -50,7 +50,10 @@ class Policy:
 
     Subclasses implement ``_run()``, an infinite generator that yields
     assortments and receives the corresponding ``PurchaseOutcome`` via
-    ``send``; level sets are read off one ``LevelSetOracle`` built here.
+    ``send``; level sets are read off one ``LevelSetOracle`` built here, as
+    its ``prefix`` tuples. The generator's frame refers back to the policy,
+    so ``observe`` closes it once the T-th outcome is sent: a finished
+    policy is freed without a garbage collection, its statistics readable.
     """
 
     def __init__(self, revenues, horizon: int):
@@ -81,6 +84,8 @@ class Policy:
             raise PolicyProtocolError("observe() without a preceding next_assortment()")
         self._awaiting_observe = False
         self._pending = self._gen.send(outcome)
+        if self._offers == self.horizon:  # no offer can follow
+            self._gen.close()
 
     # -- helpers ----------------------------------------------------------
 
@@ -194,10 +199,10 @@ class _EpochEstimatorPolicy(Policy):
     estimates alone.
 
     Every offer is a prefix of the oracle's revenue order, so the statistics
-    are kept by revenue rank: closing an epoch adds 1 to the first ``size``
-    epoch counts, and estimates built from them are already in the order
-    the oracle's kernel takes. ``epoch_counts`` and ``purchase_totals``
-    give them in item order.
+    are kept by revenue rank: closing an epoch adds 1 to the first
+    ``len(offer)`` epoch counts, and estimates built from them are already
+    in the order the oracle's kernel takes. ``epoch_counts`` and
+    ``purchase_totals`` give them in item order.
     """
 
     def _pick_assortment(self):
@@ -219,8 +224,7 @@ class _EpochEstimatorPolicy(Policy):
         # The inverse of the revenue order: item i sits at position rank[i].
         self._rank = np.argsort(self._levels.order)
         rank = self._rank.tolist()
-        assortment = tuple(range(1, n + 1))
-        self._offer_size, self._offer = n, assortment  # last offer and its size
+        assortment = self._levels.prefix(n)
         self._counts = counts = np.zeros(n)  # by rank: epochs offering the item
         self._totals = totals = np.zeros(n)  # by rank: purchases in those epochs
         self.epochs_closed = 0
@@ -231,7 +235,7 @@ class _EpochEstimatorPolicy(Policy):
                 if outcome.item == 0:
                     break
                 bought.append(outcome.item - 1)
-            counts[: self._offer_size] += 1.0
+            counts[: len(assortment)] += 1.0
             for i in bought:  # integer-valued floats: exact in any order
                 totals[rank[i]] += 1.0
             self.epochs_closed += 1
@@ -239,17 +243,8 @@ class _EpochEstimatorPolicy(Policy):
 
     def _plug_in_optimum(self, ranked_utilities: np.ndarray) -> tuple:
         """Level-set optimum under estimated utilities, given in rank order:
-        the assortment of 1-based items.
-
-        The offer is the prefix of the revenue order whose length
-        ``best_ranked_prefix`` gives, so an unchanged length hands back the
-        previous tuple and the episode loop skips re-hashing it.
-        """
-        size, _ = self._levels.best_ranked_prefix(ranked_utilities)
-        if size != self._offer_size:
-            self._offer_size = size
-            self._offer = tuple((np.sort(self._levels.order[:size]) + 1).tolist())
-        return self._offer
+        the oracle's ``prefix`` of the length ``best_ranked_prefix`` gives."""
+        return self._levels.prefix(self._levels.best_ranked_prefix(ranked_utilities)[0])
 
 
 class UcbPolicy(_EpochEstimatorPolicy):

@@ -104,8 +104,9 @@ def two_pass_values(levels: LevelSetOracle, utilities):
 
 
 def two_pass_best_indices(levels: LevelSetOracle, utilities):
-    """``LevelSetOracle.best_indices`` before the one-pass kernel, verbatim:
-    the reversed argmax, then the level set rebuilt by a threshold scan."""
+    """The best level set as ``LevelSetOracle`` found it before the one-pass
+    kernel, verbatim: the reversed argmax, then the level set rebuilt by a
+    threshold scan, as 0-based item indices and the value."""
     values = two_pass_values(levels, utilities)
     # The first maximum of the reversed values is the largest maximizing
     # threshold.
@@ -476,6 +477,19 @@ class TestOptimalAssortment:
         for theta in [*levels.thresholds.tolist(), above_all, 0.0]:
             assert levels.level_set(theta) == level_set(inst, theta)
 
+    @settings(max_examples=150, deadline=None)
+    @given(edgy_instances(20))
+    def test_prefix_is_built_once_per_size(self, inst):
+        levels = LevelSetOracle(inst.revenues)
+        offers = [levels.prefix(size) for size in range(inst.n + 1)]
+        for size, offer in enumerate(offers):
+            assert levels.prefix(size) is offer
+            assert list(offer) == (np.sort(levels.order[:size]) + 1).tolist()
+            assert all(type(i) is int for i in offer)
+        for theta, size in zip(levels.thresholds.tolist(), levels.prefix_len.tolist()):
+            assert offers[size] == level_set(inst, theta)
+            assert levels.level_set(theta) is offers[size]
+
     @settings(max_examples=300, deadline=None)
     @given(quarter_grid_cases(30))
     @example(([0.5], [1.0]))
@@ -490,13 +504,12 @@ class TestOptimalAssortment:
         reference = repr(two_pass_values(levels, utilities).tolist())
         assert repr(values.tolist()) == reference
         assert repr(levels.ranked_values(ranked)[::-1].tolist()) == reference
-        idx, value = levels.best_indices(utilities)
+        size, value = levels.best_ranked_prefix(ranked)
         ref_idx, ref_value = two_pass_best_indices(levels, utilities)
-        assert idx.dtype == ref_idx.dtype
-        assert idx.tolist() == ref_idx.tolist()
+        assert size == ref_idx.size
+        assert levels.prefix(size) == tuple((ref_idx + 1).tolist())
         assert repr(value) == repr(ref_value)
-        assert levels.best_prefix(utilities) == (idx.size, value)
-        assert levels.best_ranked_prefix(ranked) == (idx.size, value)
+        assert oracle_optimal(Instance(revenues, utilities)) == (levels.prefix(size), value)
         # No scratch buffer escapes: later calls leave a returned array alone.
         levels.values([2.0 * u + 1.0 for u in utilities])
         levels.ranked_values(ranked[::-1] + 1.0)
@@ -504,7 +517,7 @@ class TestOptimalAssortment:
 
     @settings(max_examples=150, deadline=None)
     @given(edgy_instances(20), st.data())
-    def test_plug_in_optimum_follows_best_indices(self, inst, data):
+    def test_plug_in_optimum_is_the_best_prefix(self, inst, data):
         policy = UcbPolicy(inst.revenues, 10)
         levels = LevelSetOracle(inst.revenues)
         # A few utility vectors re-drawn in any order, so sizes repeat.
@@ -514,16 +527,15 @@ class TestOptimalAssortment:
             )
         )
         sequence = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
-        previous = policy._offer
+        first = policy.next_assortment()
+        seen = {len(first): first}  # size -> the first offer of that size
         for utilities in [inst.utilities.tolist(), *sequence]:
             offer = policy._plug_in_optimum(np.array(utilities)[levels.order])
-            idx, _ = levels.best_indices(utilities)
-            assert offer == tuple((idx + 1).tolist())
-            if idx.size == len(previous):
-                assert offer is previous
-            else:
-                assert offer is not previous
-            previous = offer
+            size, _ = levels.best_ranked_prefix(np.array(utilities)[levels.order])
+            assert offer == oracle_optimal(Instance(inst.revenues, utilities))[0]
+            assert len(offer) == size
+            # A return to any earlier size hands back the earlier tuple.
+            assert offer is seen.setdefault(size, offer)
 
     def test_revenues_checked_once_at_construction(self):
         for bad in ([1.5], [-0.1], [float("nan")], [], [[0.5]]):
@@ -545,10 +557,9 @@ class TestOptimalAssortment:
         ]
         checks = (
             levels.values,
-            levels.best_prefix,
-            levels.best_indices,
             levels.ranked_values,
             levels.best_ranked_prefix,
+            lambda u: oracle_optimal(Instance(levels.revenues, u)),
         )
         for bad, named in cases:
             for check in checks:

@@ -208,7 +208,7 @@ class TestUcb:
             previous = current
         assert kept > 0 and changed > 0
 
-    def test_plug_in_optimum_reuses_only_the_last_offer(self):
+    def test_plug_in_optimum_reuses_every_earlier_offer(self):
         policy = UcbPolicy([0.2, 0.5, 0.9], 10)
         # Utilities by rank: item 3 first, item 1 last.
         first = policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]))
@@ -217,7 +217,7 @@ class TestUcb:
         other = policy._plug_in_optimum(np.array([1.0, 0.0, 0.0]))
         assert other == (3,) and other != first
         again = policy._plug_in_optimum(np.array([1.0, 1.0, 1.0]))
-        assert again == first and again is not first
+        assert again is first
 
     def test_epoch_counts_unbiased_single_item(self):
         # Per-epoch purchase count of a single item with utility v is
@@ -300,7 +300,7 @@ def test_statistics_kept_by_rank_match_a_recount(name, revenues):
     assert policy.purchase_totals.tolist() == totals.tolist()
 
 
-@pytest.mark.parametrize("name", ["ucb", "thompson", "trisection", "grs"])
+@pytest.mark.parametrize("name", POLICY_NAMES)
 def test_episode_values_each_distinct_offer_once(monkeypatch, name):
     calls = []
     expected_revenue = harness.expected_revenue
@@ -318,11 +318,29 @@ def test_episode_values_each_distinct_offer_once(monkeypatch, name):
 
     monkeypatch.setattr(harness, "expected_revenue", counting_expected_revenue)
     monkeypatch.setattr(harness, "sample_purchase", counting_sample_purchase)
-    log = harness.run_episode(generate_synthetic(40, seed=9), name, 1500, seed=9)
+    params = {"assortment": (2, 5)} if name == "static" else None
+    log = harness.run_episode(
+        generate_synthetic(40, seed=9), name, 1500, seed=9, policy_params=params
+    )
     assert len(draws) == 1500
-    assert len(set(log.assortments)) > 1
+    assert len(set(log.assortments)) > 1 or name == "static"
     assert sorted(calls) == sorted(set(log.assortments))
     assert len({id(a) for a in log.assortments}) == len(set(log.assortments))
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_equal_offers_are_one_object(name):
+    # However a policy returns to an offer (another threshold with the same
+    # level set, or an earlier epoch's size), it hands back the first tuple.
+    instance = generate_synthetic(100, seed=1)
+    params = {"assortment": (2, 5)} if name == "static" else {}
+    policy = make_policy(
+        name, instance.revenues, 20_000, rng=np.random.default_rng(0), params=params
+    )
+    first = {}  # offer -> the first tuple equal to it
+    for offer in drive(policy, instance, 20_000):
+        assert offer is first.setdefault(offer, offer)
+    assert len(first) > 1 or name == "static"
 
 
 class TestGoldenRatioSearch:
