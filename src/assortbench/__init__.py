@@ -2,7 +2,7 @@
 instances and structural oracles, trisection policies and baselines, and a
 seeded benchmark harness with a CLI front end."""
 
-from .concentration import ConfidenceInterval, adaptive_ci, fixed_ci
+from .concentration import adaptive_ci, fixed_ci
 from .core import (
     Instance,
     InvalidAssortmentError,

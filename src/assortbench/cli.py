@@ -188,12 +188,14 @@ def _load_bench_config(name_or_path: str) -> dict:
 def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
     """Every cell's RunConfig, each checked by building its policy on zero
     revenues at the cell's N and T, so that a bad cell fails before any
-    cell runs."""
+    cell runs. The summaries are keyed by (policy, N, T), so a cell that
+    repeats an earlier cell's key is a bad cell too."""
     cells = config.get("cells")
     if not isinstance(cells, list) or not cells:
         raise ValueError("bench config needs a nonempty list of cells")
     generator = config.get("generator", "synthetic")
     configs = []
+    first_with_key: dict = {}  # (policy, n, t) -> the first cell with it
     for k, cell in enumerate(cells):
         try:
             rc = RunConfig(
@@ -206,6 +208,11 @@ def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
                 master_seed=master_seed,
             )
             make_policy(rc.policy, np.zeros(rc.n), rc.horizon, params=rc.policy_params)
+            first = first_with_key.setdefault((rc.policy, rc.n, rc.horizon), k)
+            if first != k:
+                raise ValueError(
+                    f"same policy, n and t as cell {first}; summaries are keyed by them"
+                )
         except KeyError as exc:
             raise ValueError(f"cell {k} {json.dumps(cell)}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -313,13 +313,11 @@ class LevelSetOracle:
         _check_revenues(r)
         order = np.argsort(-r, kind="stable")
         r_desc = r[order]
-        # Last position of each distinct revenue in the descending order gives
-        # the prefix length of its level set.
-        distinct_desc, counts = np.unique(-r_desc, return_counts=True)
-        thresholds = -distinct_desc[::-1]  # ascending distinct revenues
-        prefix_len = np.cumsum(counts)[::-1]  # aligned with thresholds: |{r >= s}|
-        # Last prefix position of each level set, largest threshold first.
-        ends = prefix_len[::-1] - 1
+        # Last prefix position of each level set, largest threshold first: the
+        # last position of each distinct revenue in the descending order.
+        ends = np.flatnonzero(np.append(r_desc[1:] != r_desc[:-1], True))
+        thresholds = r_desc[ends][::-1]  # ascending distinct revenues
+        prefix_len = (ends + 1)[::-1]  # aligned with thresholds: |{r >= s}|
         for a in (r, order, r_desc, thresholds, prefix_len, ends):
             a.setflags(write=False)
         self.revenues = r

@@ -159,8 +159,7 @@ class TrisectionPolicy(Policy):
                     outcome = yield explore_set
                     total += outcome.revenue
                     count += 1
-                    ci = self._make_ci(total, count)
-                    lower, upper = ci.lower, ci.upper
+                    lower, upper = self._make_ci(total, count)
                 yield exploit_set
             if upper < y:
                 b = y

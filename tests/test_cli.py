@@ -218,6 +218,28 @@ class TestBench:
         assert lines[0].startswith("error: cell 0 ") and named in lines[0]
         assert not out.exists()
 
+    def test_repeated_summary_key_fails_before_any_cell_runs(self, tmp_path, capsys):
+        # Cells 0 and 1 differ only in params, cells 2 and 3 only in generator;
+        # each pair would write one bench_summaries.json entry.
+        cells = [
+            {"policy": "adaptive-trisection", "n": 10, "t": 200, "params": {"ci_scale": 2.0}},
+            {"policy": "adaptive-trisection", "n": 10, "t": 200, "params": {"ci_scale": 0.1}},
+            {"policy": "grs", "n": 2, "t": 200, "generator": "lower_bound_p0"},
+            {"policy": "grs", "n": 2, "t": 200, "generator": "lower_bound_p1"},
+        ]
+        for cfg_cells, k, first in ((cells, 1, 0), (cells[1:], 2, 1)):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"replications": 2, "cells": cfg_cells}))
+            out = tmp_path / "out"
+            assert run_cli(["bench", "--config", str(path), "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"error: cell {k} ")
+            assert f"same policy, n and t as cell {first}" in lines[0]
+            assert not out.exists()
+
     def test_empty_cell_list_fails(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"replications": 2.5, "master_seed": "x", "cells": []}))

@@ -8,19 +8,17 @@ from assortbench.concentration import adaptive_ci, fixed_ci, validate_uniform_co
 
 class TestFixedCi:
     def test_delta_one_degenerates(self):
-        ci = fixed_ci(5, 10, 1.0)
-        assert (ci.lower, ci.upper) == (0.5, 0.5)
+        assert fixed_ci(5, 10, 1.0) == (0.5, 0.5)
 
     def test_unit_half_width_clamps(self):
-        ci = fixed_ci(0, 1, math.exp(-2.0))
-        assert ci.mean == 0.0
-        assert (ci.lower, ci.upper) == (0.0, 1.0)
+        assert fixed_ci(0, 1, math.exp(-2.0)) == (0.0, 1.0)
 
     def test_frozen_value(self):
-        ci = fixed_ci(50, 100, 1e-6)
+        lower, upper = fixed_ci(50, 100, 1e-6)
         half = math.sqrt(math.log(1e6) / 200.0)
         assert half == pytest.approx(0.26282608848784655, abs=1e-15)
-        assert ci.upper - ci.mean == pytest.approx(half, abs=1e-15)
+        assert upper - 50 / 100 == pytest.approx(half, abs=1e-15)
+        assert 50 / 100 - lower == pytest.approx(half, abs=1e-15)
 
     def test_count_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -41,20 +39,19 @@ class TestFixedCi:
 
 class TestAdaptiveCi:
     def test_floored_log(self):
-        ci = adaptive_ci(1, 1, 8.0)
-        assert ci.lower == ci.upper == ci.mean == 1.0
+        assert adaptive_ci(1, 1, 8.0) == (1.0, 1.0)
 
     def test_clamped_first_sample(self):
-        ci = adaptive_ci(0, 1, 1e-3, 2.0)
         half = math.sqrt(2.0 * math.log(8000.0))
         assert half == pytest.approx(4.239621874804868, abs=1e-12)
-        assert (ci.lower, ci.upper) == (0.0, 1.0)
+        assert adaptive_ci(0, 1, 1e-3, 2.0) == (0.0, 1.0)
 
     def test_frozen_value(self):
-        ci = adaptive_ci(248, 496, 1e-3, 2.0)
+        lower, upper = adaptive_ci(248, 496, 1e-3, 2.0)
         half = math.sqrt(2.0 * math.log(8000.0 / 496.0) / 496.0)
         assert half == pytest.approx(0.1058875867320608, abs=1e-15)
-        assert ci.upper - ci.mean == pytest.approx(half, abs=1e-15)
+        assert upper - 248 / 496 == pytest.approx(half, abs=1e-15)
+        assert 248 / 496 - lower == pytest.approx(half, abs=1e-15)
 
     def test_count_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -82,10 +79,8 @@ class TestAdaptiveCi:
                 assert 0.25 <= wa / wf <= 4.0
 
     def test_width_decreasing_in_count(self):
-        widths = [
-            adaptive_ci(0, t, 1e-3, 2.0).upper - adaptive_ci(0, t, 1e-3, 2.0).mean
-            for t in range(1, 2000)
-        ]
+        # The total is 0, so the mean is 0 and the upper end is the width.
+        widths = [adaptive_ci(0, t, 1e-3, 2.0)[1] for t in range(1, 2000)]
         clamped = [min(w, 1.0) for w in widths]
         assert all(a >= b - 1e-15 for a, b in zip(clamped, clamped[1:]))
 

@@ -5,7 +5,7 @@ import pytest
 
 from assortbench import harness
 from assortbench.core import Instance, PurchaseOutcome, sample_purchase
-from assortbench.generators import generate_synthetic
+from assortbench.generators import generate_lower_bound, generate_synthetic
 from assortbench.policies import (
     AdaptiveTrisectionPolicy,
     GoldenRatioSearchPolicy,
@@ -341,6 +341,44 @@ def test_equal_offers_are_one_object(name):
     for offer in drive(policy, instance, 20_000):
         assert offer is first.setdefault(offer, offer)
     assert len(first) > 1 or name == "static"
+
+
+def split_instance(instance, k):
+    """Each item as k adjacent copies with its revenue and 1/k of its utility.
+
+    Every level set keeps its law of purchased revenue, so a policy that
+    sees only revenues cannot tell the split instance from the original.
+    """
+    return Instance(np.repeat(instance.revenues, k), np.repeat(instance.utilities / k, k))
+
+
+SPLIT_INSTANCES = {
+    "synthetic": generate_synthetic(50, seed=3),
+    "hard-pair": generate_lower_bound("P0", 2, 4000),
+    "ties-and-zeros": Instance(
+        [0.5, 0.0, 0.5, 0.8, 0.0, 0.3, 0.8, 1.0], [0.7, 1.2, 0.4, 0.3, 0.0, 2.0, 0.5, 0.1]
+    ),
+}
+
+
+@pytest.mark.parametrize("instance_name", SPLIT_INSTANCES)
+@pytest.mark.parametrize(
+    "name, params",
+    [("trisection", None), ("adaptive-trisection", {"ci_scale": 0.1}), ("grs", None)],
+)
+def test_level_set_regret_does_not_depend_on_the_item_count(name, params, instance_name):
+    # The paper's N-independence, episode by episode: with one seed, splitting
+    # every item leaves the per-period regrets unchanged up to rounding.
+    instance = SPLIT_INSTANCES[instance_name]
+
+    def regrets(inst):
+        log = harness.run_episode(inst, name, 4000, seed=11, policy_params=params)
+        return np.array([step[3] for step in log.steps])
+
+    base = regrets(instance)
+    assert base.sum() > 0.0
+    for k in (2, 8):
+        assert np.abs(regrets(split_instance(instance, k)) - base).max() <= 1e-9
 
 
 class TestGoldenRatioSearch:
