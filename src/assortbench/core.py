@@ -9,20 +9,23 @@ assortment; ``assortbench.properties`` checks this and the potential's
 other structural properties.
 
 Assortments are strictly increasing sequences of integer 1-based item ids.
-Instances, prepared offers and potential profiles are immutable after
-construction and safe to share across threads; only the caller-owned
-uniform source (anything whose ``random()`` returns the next uniform, such
-as a numpy ``Generator``) is advanced by sampling. A level-set oracle is
-immutable apart from its memo of prefixes: it may be shared across threads,
-but equal offers are then not guaranteed to be one object.
+Instances and potential profiles are immutable after construction and safe
+to share across threads; only the caller-owned uniform source (anything
+whose ``random()`` returns the next uniform, such as a numpy ``Generator``)
+is advanced by sampling. A prepared offer is immutable apart from its memo
+of purchase outcomes, and a level-set oracle apart from its memo of
+prefixes: either may be shared across threads, but equal outcomes or
+offers are then not guaranteed to be one object.
 
 A ``PreparedOffer`` is the one MNL purchase distribution: the functions
 over assortments delegate to it. Its draw is one uniform and a bisection
-over memoryviews, creating no numpy scalar. A ``LevelSetOracle`` sorts a
-revenue vector once; every level set is a prefix of that order, built into
-a tuple once per size by ``prefix``, and a level-set optimization is one
-pass over the prefixes, taking utilities in item or revenue rank order.
-``level_set``'s plain mask stays as the independent reference.
+over memoryviews, creating no numpy scalar, and it builds each item's
+``PurchaseOutcome`` on the item's first purchase only. A ``LevelSetOracle``
+sorts a revenue vector once; every level set is a prefix of that order,
+built into a tuple once per size by ``prefix``, and a level-set
+optimization is one pass over the prefixes, taking utilities in item or
+revenue rank order. ``level_set``'s plain mask stays as the independent
+reference.
 """
 
 from __future__ import annotations
@@ -197,13 +200,19 @@ class PreparedOffer:
     the cumulative utilities in item order, so each draw costs one uniform
     and a binary search. The search and the item lookup read memoryviews
     of these arrays, so a draw creates Python ints and floats only.
+
+    ``outcomes`` maps a 0-based item index to that item's
+    ``PurchaseOutcome``, built on its first purchase and returned for every
+    later one. Offers of one instance may share one dict, so that each item
+    has one outcome object across them; by default an offer keeps its own.
     """
 
     __slots__ = (
-        "instance", "indices", "cum_utilities", "_scale", "_cum", "_items", "_revenues", "_last"
+        "instance", "indices", "cum_utilities", "_scale", "_cum", "_items", "_revenues", "_last",
+        "_outcomes",
     )
 
-    def __init__(self, instance: Instance, assortment):
+    def __init__(self, instance: Instance, assortment, outcomes=None):
         idx = assortment_indices(assortment, instance.n)
         cum = np.cumsum(instance.utilities[idx])
         idx.setflags(write=False)
@@ -217,6 +226,7 @@ class PreparedOffer:
         self._items = memoryview(idx)
         self._revenues = memoryview(instance.revenues)
         self._last = idx.size - 1
+        self._outcomes = {} if outcomes is None else outcomes
 
     def expected_revenue(self) -> float:
         """sum(r v) / (1 + sum(v)) over the offer; 0 for the empty offer."""
@@ -245,7 +255,10 @@ class PreparedOffer:
         if pos > self._last:  # float edge at the top of the range
             pos = self._last
         i = self._items[pos]
-        return PurchaseOutcome(i + 1, self._revenues[i])
+        outcome = self._outcomes.get(i)
+        if outcome is None:
+            outcome = self._outcomes[i] = PurchaseOutcome(i + 1, self._revenues[i])
+        return outcome
 
 
 def _prepared(instance: Instance, assortment) -> PreparedOffer:
@@ -370,6 +383,16 @@ class LevelSetOracle:
         if offer is None:
             offer = self._prefixes[size] = tuple((np.sort(self.order[:size]) + 1).tolist())
         return offer
+
+    def prefix_items(self, offer):
+        """The items of ``offer`` as an ascending array of 1-based ids, read
+        off the sort, when ``offer`` is one of the tuples ``prefix`` has
+        returned (matched by identity, so no tuple is built or hashed);
+        otherwise None."""
+        size = len(offer)
+        if self._prefixes.get(size) is not offer:
+            return None
+        return np.sort(self.order[:size]) + 1
 
     def level_set(self, theta: float) -> tuple:
         """Items (1-based, ascending) whose revenue is >= ``theta``, as the

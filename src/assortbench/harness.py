@@ -19,13 +19,15 @@ import csv
 import hashlib
 import json
 import numbers
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from .core import Instance, PreparedOffer, expected_revenue, oracle_optimal, sample_purchase
+from .core import Instance, LevelSetOracle, PreparedOffer, expected_revenue, sample_purchase
+from .core import oracle_optimal  # noqa: F401  (perfbench's tracer wraps it by this name)
 from .generators import GENERATOR_NAMES, generate_lower_bound, generate_synthetic
 from .policies import make_policy
 
@@ -57,29 +59,49 @@ def derive_seed(master_seed: int, *tokens) -> int:
 
 @dataclass
 class EpisodeLog:
-    """Per-period record of one policy run.
+    """The record of one policy run, each fact stored once.
 
-    ``steps`` holds (period, assortment size, expected revenue of the offer,
-    instantaneous expected regret); ``realized_rewards`` holds the revenue
-    of each period's sampled purchase.
+    ``offers`` holds each distinct offer once, in the order first offered,
+    as (assortment, size, expected revenue, instantaneous expected regret).
+    Per period, ``offer_index`` holds the position of its offer in
+    ``offers`` and ``rewards`` the revenue of its sampled purchase. The
+    per-period lists ``steps``, ``assortments`` and ``realized_rewards``
+    are built from these on each read.
     """
 
     policy_name: str
     seed: int
     optimal_value: float
-    steps: list = field(default_factory=list)
-    assortments: list = field(default_factory=list)
-    realized_rewards: list = field(default_factory=list)
+    offers: list = field(default_factory=list)
+    offer_index: array = field(default_factory=lambda: array("q"))
+    rewards: array = field(default_factory=lambda: array("d"))
 
     @property
     def horizon(self) -> int:
-        return len(self.steps)
+        return len(self.offer_index)
+
+    @property
+    def steps(self) -> list:
+        """(period, assortment size, expected revenue, regret) per period."""
+        facts = [entry[1:] for entry in self.offers]
+        return [(t, *facts[k]) for t, k in enumerate(self.offer_index, start=1)]
+
+    @property
+    def assortments(self) -> list:
+        """The offer of each period: the policy's own tuple."""
+        offers = [entry[0] for entry in self.offers]
+        return [offers[k] for k in self.offer_index]
+
+    @property
+    def realized_rewards(self) -> list:
+        return self.rewards.tolist()
 
     @property
     def cumulative_regret(self) -> float:
+        regrets = [entry[3] for entry in self.offers]
         total = 0.0  # a left fold: the builtin sum is compensated from CPython 3.12
-        for step in self.steps:
-            total += step[3]
+        for k in self.offer_index:
+            total += regrets[k]
         return total
 
 
@@ -180,43 +202,54 @@ def run_episode(
     streams derived from ``seed``; the customer stream serves only the
     purchases, one uniform each, and is drawn in blocks of ``UNIFORM_BLOCK``.
     Regret per period is the gap in expected revenue against the optimal
-    assortment under the true instance. Library policies hand back one
-    tuple per distinct offer, so each offer is prepared and valued once per
-    episode and found again by identity: a repeated offer costs O(log |S|)
-    per period and hashes nothing.
+    assortment under the true instance.
+
+    One ``LevelSetOracle`` serves the episode: the policy reads its level
+    sets off it, and the optimal value is its best prefix. Offers must be
+    tuples, and each is prepared and valued once per episode and found
+    again by identity, so a repeated offer costs O(log |S|) per period and
+    hashes nothing; an offer that is one of the oracle's prefixes is
+    prepared from its sort. Each item's ``PurchaseOutcome`` is built once
+    per episode.
     """
     customer_rng = np.random.default_rng(derive_seed(seed, "customer"))
     customers = SimpleNamespace(random=_block_uniforms(customer_rng, horizon).__next__)
     policy_rng = np.random.default_rng(derive_seed(seed, "policy"))
-    policy = make_policy(
-        policy_name, instance.revenues, horizon, rng=policy_rng, params=policy_params
-    )
-    _, optimal_value = oracle_optimal(instance)
+    levels = LevelSetOracle(instance.revenues)
+    policy = make_policy(policy_name, levels, horizon, rng=policy_rng, params=policy_params)
+    _, optimal_value = levels.best_ranked_prefix(instance.utilities[levels.order])
     log = EpisodeLog(policy_name=policy_name, seed=seed, optimal_value=optimal_value)
-    add_step = log.steps.append
-    add_assortment = log.assortments.append
-    add_reward = log.realized_rewards.append
-    # id(assortment) -> (assortment, PreparedOffer, size, expected revenue,
-    # regret); a tuple does not cache its hash, and the entry holding it
-    # keeps its id from being reused within the episode.
+    offers = log.offers
+    add_index = log.offer_index.append
+    add_reward = log.rewards.append
+    outcomes: dict = {}  # shared by the episode's offers
+    # id(assortment) -> (its index in offers, PreparedOffer); a tuple does
+    # not cache its hash, and offers holds it, so its id is not reused
+    # within the episode.
     prepared: dict = {}
     last = None
-    for t in range(1, horizon + 1):
+    for _ in range(horizon):
         assortment = policy.next_assortment()
         if assortment is not last:
             last = assortment
             entry = prepared.get(id(assortment))
             if entry is None:
-                offer = PreparedOffer(instance, assortment)
-                value = expected_revenue(instance, offer)
-                entry = prepared[id(assortment)] = (
-                    assortment, offer, len(assortment), value, optimal_value - value
+                if not isinstance(assortment, tuple):
+                    raise TypeError(
+                        f"policy {policy_name!r} ({type(policy).__name__}) offered a "
+                        f"{type(assortment).__name__}; offers must be tuples"
+                    )
+                items = levels.prefix_items(assortment)
+                offer = PreparedOffer(
+                    instance, assortment if items is None else items, outcomes
                 )
-            _, offer, size, value, regret = entry
+                value = expected_revenue(instance, offer)
+                entry = prepared[id(assortment)] = (len(offers), offer)
+                offers.append((assortment, len(assortment), value, optimal_value - value))
+            index, offer = entry
         outcome = sample_purchase(instance, offer, customers)
         policy.observe(outcome)
-        add_step((t, size, value, regret))
-        add_assortment(assortment)
+        add_index(index)
         add_reward(outcome.revenue)
     return log
 
@@ -305,8 +338,10 @@ def write_episode_csv(log: EpisodeLog, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "assortment_size", "expected_revenue", "inst_regret", "cum_regret"])
+        offers = log.offers
         running = 0.0
-        for t, size, value, inst in log.steps:
+        for t, k in enumerate(log.offer_index, start=1):
+            _, size, value, inst = offers[k]
             running += inst
             writer.writerow([t, size, repr(value), repr(inst), repr(running)])
 

@@ -45,19 +45,25 @@ class HorizonExhaustedError(RuntimeError):
     """The policy already emitted all T assortments."""
 
 
+def _level_sets(revenues) -> LevelSetOracle:
+    """``revenues`` when it is a ``LevelSetOracle``, else one built from it."""
+    return revenues if isinstance(revenues, LevelSetOracle) else LevelSetOracle(revenues)
+
+
 class Policy:
     """Base class driving a decision generator.
 
     Subclasses implement ``_run()``, an infinite generator that yields
     assortments and receives the corresponding ``PurchaseOutcome`` via
-    ``send``; level sets are read off one ``LevelSetOracle`` built here, as
-    its ``prefix`` tuples. The generator's frame refers back to the policy,
-    so ``observe`` closes it once the T-th outcome is sent: a finished
-    policy is freed without a garbage collection, its statistics readable.
+    ``send``; level sets are read off one ``LevelSetOracle``, as its
+    ``prefix`` tuples. ``revenues`` is that oracle, or a revenue vector it
+    is built from. The generator's frame refers back to the policy, so
+    ``observe`` closes it once the T-th outcome is sent: a finished policy
+    is freed without a garbage collection, its statistics readable.
     """
 
     def __init__(self, revenues, horizon: int):
-        self._levels = LevelSetOracle(revenues)
+        self._levels = _level_sets(revenues)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         self.revenues = self._levels.revenues
@@ -361,13 +367,14 @@ class StaticPolicy(Policy):
     """Always offers one fixed assortment (reference policy)."""
 
     def __init__(self, revenues, horizon, assortment):
+        levels = _level_sets(revenues)
         items = tuple(assortment)
         # numpy would read (True, 2) as [1, 2].
         if any(isinstance(i, (bool, np.bool_)) for i in items):
             raise ValueError("item ids must be integers, not booleans")
-        idx = assortment_indices(items, len(revenues))
+        idx = assortment_indices(items, levels.revenues.size)
         self.assortment = tuple((idx + 1).tolist())
-        super().__init__(revenues, horizon)
+        super().__init__(levels, horizon)
 
     def _run(self):
         while True:
@@ -387,6 +394,9 @@ POLICY_NAMES = tuple(_POLICY_CLASSES)
 
 def make_policy(name: str, revenues, horizon: int, *, rng=None, params=None) -> Policy:
     """Build a policy by name with an optional parameter map.
+
+    ``revenues`` is a revenue vector or a ``LevelSetOracle`` over one; the
+    policy reads its level sets off a given oracle instead of sorting again.
 
     Raises ValueError for an unknown name or a parameter value the policy
     rejects, and TypeError for a parameter the policy does not take.

@@ -68,14 +68,12 @@ class TestAdaptiveCi:
             adaptive_ci(1.0, 2, delta, scale)
 
     def test_widths_comparable_to_fixed(self):
-        # delta = 1/T^2 fixed vs delta = 1/T adaptive (scale 2): widths stay
-        # within a factor of 4 of each other while the log terms are positive.
+        # delta = 1/T^2 fixed vs delta = 1/T adaptive (scale 2): around a
+        # mean of 1/2 the half-widths stay within a factor of 4 of each other.
         for horizon in (10, 1000, 10**6):
-            for t in (1, 7, horizon // 2 or 1, horizon):
-                if 8.0 / (t / horizon) <= 1.0:
-                    continue
-                wf = math.sqrt(math.log(horizon**2) / (2 * t))
-                wa = math.sqrt(2 * math.log(8 * horizon / t) / t)
+            for t in (1, 7, horizon // 2, horizon):
+                wf = fixed_ci(t / 2, t, 1.0 / horizon**2)[1] - 0.5
+                wa = adaptive_ci(t / 2, t, 1.0 / horizon, 2.0)[1] - 0.5
                 assert 0.25 <= wa / wf <= 4.0
 
     def test_width_decreasing_in_count(self):

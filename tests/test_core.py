@@ -309,6 +309,16 @@ class TestPreparedOffer:
         with pytest.raises(InvalidAssortmentError, match="out of range"):
             assortment_indices((4,), 3)
 
+    def test_offers_sharing_outcomes_return_one_object_per_item(self):
+        inst = Instance([0.5, 0.6], [1.0, 1.0])
+        outcomes = {}
+        alone, both = PreparedOffer(inst, (2,), outcomes), PreparedOffer(inst, (1, 2), outcomes)
+        top = SimpleNamespace(random=lambda: 0.99)  # buys the last item of either offer
+        first = alone.sample(top)
+        assert first == PurchaseOutcome(2, 0.6)
+        assert both.sample(top) is first and alone.sample(top) is first
+        assert outcomes == {1: first}
+
     def test_rejects_offer_of_another_instance(self):
         inst = Instance([0.5, 0.6], [1.0, 1.0])
         offer = PreparedOffer(Instance([0.5, 0.6], [1.0, 1.0]), (1,))
@@ -489,6 +499,16 @@ class TestOptimalAssortment:
         for theta, size in zip(levels.thresholds.tolist(), levels.prefix_len.tolist()):
             assert offers[size] == level_set(inst, theta)
             assert levels.level_set(theta) is offers[size]
+
+    def test_prefix_items_match_the_memo_by_identity(self):
+        levels = LevelSetOracle([0.2, 0.9, 0.5])
+        offer = levels.prefix(2)
+        assert offer == (2, 3)
+        items = levels.prefix_items(offer)
+        assert items.dtype.kind == "i" and items.tolist() == [2, 3]
+        assert levels.prefix_items((2, 3)) is None  # equal, but not the memo's tuple
+        assert levels.prefix_items((2,)) is None  # no prefix of that size built yet
+        assert levels.prefix_items(levels.prefix(0)).tolist() == []
 
     @settings(max_examples=300, deadline=None)
     @given(quarter_grid_cases(30))

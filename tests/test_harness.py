@@ -1,11 +1,14 @@
 import gc
+import hashlib
+import tracemalloc
 import weakref
+from array import array
 
 import numpy as np
 import pytest
 
 from assortbench import harness
-from assortbench.core import expected_revenue, oracle_optimal, sample_purchase
+from assortbench.core import PurchaseOutcome, expected_revenue, oracle_optimal, sample_purchase
 from assortbench.generators import generate_lower_bound, generate_synthetic, lower_bound_tester
 from assortbench.harness import (
     UNIFORM_BLOCK,
@@ -173,9 +176,90 @@ class TestRunEpisode:
         # A compensated sum, as the builtin sum of floats is from CPython
         # 3.12 on, gives 2.0 here and would change the reference bits.
         regrets = [1.0, 1e100, 1.0, -1e100]
-        steps = [(t, 1, 0.0, r) for t, r in enumerate(regrets, start=1)]
-        log = EpisodeLog(policy_name="static", seed=0, optimal_value=0.0, steps=steps)
+        offers = [((1,), 1, 0.0, 1.0), ((2,), 1, 0.0, 1e100), ((3,), 1, 0.0, -1e100)]
+        log = EpisodeLog(
+            policy_name="static",
+            seed=0,
+            optimal_value=0.0,
+            offers=offers,
+            offer_index=array("q", [0, 1, 0, 2]),
+            rewards=array("d", [0.0] * 4),
+        )
+        assert [step[3] for step in log.steps] == regrets
         assert log.cumulative_regret == 0.0
+
+    def test_offers_must_be_tuples(self, monkeypatch):
+        # One list edited between periods would be found again by identity
+        # and valued, sampled and logged as its first contents.
+        class Aliasing:
+            def __init__(self, *args, **kwargs):
+                self._offer, self._t = [], 0
+
+            def next_assortment(self):
+                self._offer[:] = [1, 2] if self._t % 2 == 0 else [3]
+                self._t += 1
+                return self._offer
+
+            def observe(self, outcome):
+                pass
+
+        monkeypatch.setattr(harness, "make_policy", Aliasing)
+        inst = generate_synthetic(10, seed=1)
+        with pytest.raises(TypeError, match=r"Aliasing\) offered a list"):
+            harness.run_episode(inst, "static", 4, seed=1)
+
+    def test_each_item_has_one_outcome(self, monkeypatch):
+        outcomes = []
+
+        def recording_sample_purchase(instance, offer, rng):
+            outcome = sample_purchase(instance, offer, rng)
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(harness, "sample_purchase", recording_sample_purchase)
+        inst = generate_synthetic(20, seed=2)
+        log = run_episode(inst, "thompson", 2000, 3)
+        assert len({id(offer) for offer in log.assortments}) > 1
+        first = {}
+        for outcome in outcomes:
+            assert first.setdefault(outcome.item, outcome) is outcome
+        assert len(first) > 2
+        for item, outcome in first.items():
+            revenue = inst.revenues[item - 1] if item else 0.0
+            assert outcome == PurchaseOutcome(item, revenue)
+
+    def test_long_episode_log_stays_small(self):
+        # About 16 bytes a period: an offer index and a reward.
+        inst = generate_synthetic(100, seed=3)
+        horizon = 10**5
+        tracemalloc.start()
+        try:
+            log = run_episode(inst, "adaptive-trisection", horizon, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert log.horizon == horizon
+        assert peak / horizon <= 32
+
+    @pytest.mark.parametrize("name", (*POLICY_NAMES, "duck-typed"))
+    def test_optimal_value_is_oracle_optimal(self, monkeypatch, name):
+        class FirstItem:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def next_assortment(self):
+                return (1,)
+
+            def observe(self, outcome):
+                pass
+
+        if name == "duck-typed":
+            monkeypatch.setattr(harness, "make_policy", FirstItem)
+        params = {"assortment": (1,)} if name == "static" else None
+        for n, seed in ((1, 0), (30, 4), (200, 5)):
+            inst = generate_synthetic(n, seed=seed)
+            log = harness.run_episode(inst, name, 40, seed, policy_params=params)
+            assert log.optimal_value == oracle_optimal(inst)[1]
 
 
 class TestRunBatch:
@@ -292,6 +376,13 @@ class TestOutputs:
         last = lines[-1].split(",")
         assert int(last[0]) == 25
         assert float(last[4]) == pytest.approx(log.cumulative_regret, abs=1e-9)
+
+    def test_episode_csv_bytes_are_pinned(self, tmp_path):
+        log = run_episode(generate_synthetic(20, seed=11), "thompson", 400, 5)
+        path = tmp_path / "episode.csv"
+        write_episode_csv(log, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "48a0e664f7178b711136a058fec81985574c67adc90186c4464e1465cee6fc35"
 
     def test_summaries_json_stable(self):
         config = RunConfig(policy="grs", n=10, horizon=50, replications=2, master_seed=1)
