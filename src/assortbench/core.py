@@ -23,9 +23,8 @@ over memoryviews, creating no numpy scalar, and it builds each item's
 ``PurchaseOutcome`` on the item's first purchase only. A ``LevelSetOracle``
 sorts a revenue vector once; every level set is a prefix of that order,
 built into a tuple once per size by ``prefix``, and a level-set
-optimization is one pass over the prefixes, taking utilities in item or
-revenue rank order. ``level_set``'s plain mask stays as the independent
-reference.
+optimization is one pass over the prefixes, taking utilities in revenue
+rank order. ``level_set``'s plain mask stays as the independent reference.
 """
 
 from __future__ import annotations
@@ -179,11 +178,15 @@ class PotentialProfile:
 
 def assortment_indices(assortment, n: int) -> np.ndarray:
     """0-based int64 indices of a flat sequence of integer item ids in [1, n],
-    strictly increasing; raises InvalidAssortmentError otherwise. numpy reads
-    a mix such as ``(True, 2)`` as the integers ``[1, 2]``."""
+    strictly increasing; raises InvalidAssortmentError otherwise. Booleans
+    are not item ids."""
     idx = np.asarray(assortment)
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise InvalidAssortmentError("item ids must be integers in a flat sequence")
+    # numpy reads a mix such as (True, 2) as [1, 2]; an array has one dtype.
+    if not isinstance(assortment, np.ndarray):
+        if any(isinstance(i, (bool, np.bool_)) for i in assortment):
+            raise InvalidAssortmentError("item ids must be integers, not booleans")
     if idx.size and (idx[0] < 1 or idx[-1] > n):
         raise InvalidAssortmentError(
             f"item ids out of range [1, {n}]: got {idx.min()}..{idx.max()}"
@@ -314,9 +317,9 @@ class LevelSetOracle:
     s the size of its level set {i : r_i >= s}, which is a prefix of the
     descending order. One level set is then a binary search away, and
     evaluating all of them under new utilities costs two running sums
-    instead of a sort; the best is read off the same pass. Callers that
-    keep utilities in rank order (position k of ``order``) call the
-    ``ranked_`` methods; the others gather into rank order first.
+    instead of a sort; the best is read off the same pass. The ``ranked_``
+    methods take utilities in rank order (position k of ``order``); callers
+    holding them in item order gather with ``order`` first.
     """
 
     def __init__(self, revenues):
@@ -341,27 +344,22 @@ class LevelSetOracle:
         self._ends = ends
         self._prefixes: dict = {}  # size -> the tuple ``prefix`` returns
 
-    def _vector(self, utilities) -> np.ndarray:
-        """``utilities`` as a float array, checked to match the revenues."""
-        v = np.asarray(utilities, dtype=float)
-        if v.shape != self.revenues.shape:
-            raise ValueError(
-                f"length mismatch: {self.revenues.size} revenues vs {v.size} utilities"
-            )
-        return v
-
     def ranked_values(self, ranked_utilities) -> np.ndarray:
         """R({r >= s}) for each threshold s, largest threshold (smallest
         level set) first, under utilities given in rank order: entry k is
         the utility of item ``order[k]``.
 
-        The one level-set kernel behind every method below: two running
-        sums over the prefixes, their ratio formed in place, and a gather at
-        the level-set ends; the result is a new array. Raises ValueError
-        unless the utilities match the revenues in length, are finite and
-        nonnegative, and have a finite total.
+        The one level-set kernel, which ``best_ranked_prefix`` also reads:
+        two running sums over the prefixes, their ratio formed in place, and
+        a gather at the level-set ends; the result is a new array. Raises
+        ValueError unless the utilities match the revenues in length, are
+        finite and nonnegative, and have a finite total.
         """
-        v = self._vector(ranked_utilities)
+        v = np.asarray(ranked_utilities, dtype=float)
+        if v.shape != self.revenues.shape:
+            raise ValueError(
+                f"length mismatch: {self.revenues.size} revenues vs {v.size} utilities"
+            )
         cum_v = _utility_sums(v)
         cum_rv = np.multiply(self.sorted_revenues, v)
         np.add.accumulate(cum_rv, out=cum_rv)
@@ -370,11 +368,6 @@ class LevelSetOracle:
         # With distinct revenues every prefix is a level set, and the gather
         # would only copy.
         return cum_rv[self._ends] if self._ends.size < cum_rv.size else cum_rv
-
-    def values(self, utilities) -> np.ndarray:
-        """R({r >= s}) under ``utilities`` for each threshold s (ascending);
-        see ``ranked_values`` for the checks."""
-        return self.ranked_values(self._vector(utilities)[self.order])[::-1]
 
     def prefix(self, size: int) -> tuple:
         """The first ``size`` items of ``order`` as ascending 1-based item
@@ -396,9 +389,11 @@ class LevelSetOracle:
 
     def level_set(self, theta: float) -> tuple:
         """Items (1-based, ascending) whose revenue is >= ``theta``, as the
-        ``prefix`` of that size."""
+        ``prefix`` of that size: the level set of the smallest threshold
+        >= ``theta``, or the empty one past the last threshold."""
         _check_theta(theta)
-        return self.prefix(int((-self.sorted_revenues).searchsorted(-theta, side="right")))
+        k = self.thresholds.searchsorted(theta)
+        return self.prefix(int(self.prefix_len[k]) if k < self.thresholds.size else 0)
 
     def best_ranked_prefix(self, ranked_utilities):
         """Size of the best level set (a prefix of ``order``) and its
@@ -423,7 +418,8 @@ def build_potential_profile(instance: Instance) -> PotentialProfile:
     """
     levels = LevelSetOracle(instance.revenues)
     # Raw interval values: c_0 on (-inf, s_1], c_i on (s_i, s_{i+1}], c_m = 0.
-    raw_values = levels.values(instance.utilities).tolist() + [0.0]
+    ranked = levels.ranked_values(instance.utilities[levels.order])
+    raw_values = ranked[::-1].tolist() + [0.0]
     jumps: list = []
     values: list = [raw_values[0]]
     for jump, value in zip(levels.thresholds.tolist(), raw_values[1:]):

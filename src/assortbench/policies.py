@@ -70,7 +70,6 @@ class Policy:
         self.horizon = int(horizon)
         self._offers = 0
         self._awaiting_observe = False
-        self._level_set_cache: dict = {}
         self._gen = self._run()
         self._pending = next(self._gen)
 
@@ -94,13 +93,6 @@ class Policy:
             self._gen.close()
 
     # -- helpers ----------------------------------------------------------
-
-    def _level_set(self, theta: float) -> tuple:
-        cached = self._level_set_cache.get(theta)
-        if cached is None:
-            cached = self._levels.level_set(theta)
-            self._level_set_cache[theta] = cached
-        return cached
 
     def _run(self):
         raise NotImplementedError
@@ -156,8 +148,8 @@ class TrisectionPolicy(Policy):
             x = (2.0 * a + b) / 3.0
             y = (a + 2.0 * b) / 3.0
             budget = self._inner_budget(y - x)
-            explore_set = self._level_set(y)
-            exploit_set = self._level_set(a)
+            explore_set = self._levels.level_set(y)
+            exploit_set = self._levels.level_set(a)
             total, count = 0.0, 0
             lower, upper = 0.0, 1.0
             for _ in range(budget):
@@ -322,10 +314,18 @@ class GoldenRatioSearchPolicy(Policy):
     set; empirical means decide which bracket endpoint is dropped. Once the
     bracket collapses below 1/sqrt(T), the best probe so far is exploited
     for the remaining horizon.
+
+    ``interval_history`` records the bracket (lo, hi) at the start of every
+    probe.
     """
 
-    def _probe(self, theta: float):
-        assortment = self._level_set(theta)
+    def __init__(self, revenues, horizon):
+        self.interval_history: list = []
+        super().__init__(revenues, horizon)
+
+    def _probe(self, theta: float, lo: float, hi: float):
+        self.interval_history.append((lo, hi))
+        assortment = self._levels.level_set(theta)
         count = math.ceil(math.sqrt(self.horizon))
         total = 0.0
         for _ in range(count):
@@ -338,8 +338,8 @@ class GoldenRatioSearchPolicy(Policy):
         collapse = 1.0 / math.sqrt(self.horizon)
         left = hi - _GOLDEN * (hi - lo)
         right = lo + _GOLDEN * (hi - lo)
-        left_mean = yield from self._probe(left)
-        right_mean = yield from self._probe(right)
+        left_mean = yield from self._probe(left, lo, hi)
+        right_mean = yield from self._probe(right, lo, hi)
         best_theta, best_mean = (
             (left, left_mean) if left_mean >= right_mean else (right, right_mean)
         )
@@ -348,17 +348,17 @@ class GoldenRatioSearchPolicy(Policy):
                 lo = left
                 left, left_mean = right, right_mean
                 right = lo + _GOLDEN * (hi - lo)
-                right_mean = yield from self._probe(right)
+                right_mean = yield from self._probe(right, lo, hi)
                 candidate = (right, right_mean)
             else:
                 hi = right
                 right, right_mean = left, left_mean
                 left = hi - _GOLDEN * (hi - lo)
-                left_mean = yield from self._probe(left)
+                left_mean = yield from self._probe(left, lo, hi)
                 candidate = (left, left_mean)
             if candidate[1] > best_mean:
                 best_theta, best_mean = candidate
-        incumbent = self._level_set(best_theta)
+        incumbent = self._levels.level_set(best_theta)
         while True:
             yield incumbent
 
@@ -368,11 +368,7 @@ class StaticPolicy(Policy):
 
     def __init__(self, revenues, horizon, assortment):
         levels = _level_sets(revenues)
-        items = tuple(assortment)
-        # numpy would read (True, 2) as [1, 2].
-        if any(isinstance(i, (bool, np.bool_)) for i in items):
-            raise ValueError("item ids must be integers, not booleans")
-        idx = assortment_indices(items, levels.revenues.size)
+        idx = assortment_indices(tuple(assortment), levels.revenues.size)
         self.assortment = tuple((idx + 1).tolist())
         super().__init__(levels, horizon)
 

@@ -80,7 +80,7 @@ def loop_best(levels: LevelSetOracle, utilities):
     """The threshold loop that ``oracle_optimal`` ran before
     ``LevelSetOracle``: scan the level sets from the smallest up, keep
     strict improvements over 0, and mask the revenues at the best one."""
-    values = levels.values(utilities)
+    values = levels.ranked_values(np.asarray(utilities, dtype=float)[levels.order])[::-1]
     best_value, best_theta = 0.0, None
     for i in range(values.size - 1, -1, -1):
         if values[i] > best_value:
@@ -92,9 +92,9 @@ def loop_best(levels: LevelSetOracle, utilities):
 
 
 def two_pass_values(levels: LevelSetOracle, utilities):
-    """``LevelSetOracle.values`` before the one-pass kernel, verbatim but
-    for the input checks: ascending thresholds through a gather of the
-    prefix ends."""
+    """``LevelSetOracle``'s level-set values before the one-pass kernel,
+    verbatim but for the input checks: ascending thresholds through a
+    gather of the prefix ends."""
     v = np.asarray(utilities, dtype=float)
     v_desc = v[levels.order]
     cum_v = np.cumsum(v_desc)
@@ -286,7 +286,11 @@ class TestPreparedOffer:
             with pytest.raises(InvalidAssortmentError):
                 PreparedOffer(inst, bad)
 
-    @pytest.mark.parametrize("bad", [(1.7,), ("2",), (True,), ((1, 2),), [[1], [2]]])
+    # numpy reads a mix of booleans and integers as integers: (True, 2) as [1, 2].
+    @pytest.mark.parametrize(
+        "bad",
+        [(1.7,), ("2",), (True,), ((1, 2),), [[1], [2]], (True, 2), [np.True_, 2]],
+    )
     @pytest.mark.parametrize(
         "use",
         [
@@ -476,15 +480,20 @@ class TestOptimalAssortment:
     @given(st.one_of(edgy_instances(20), quarter_grid_cases(20).map(lambda rv: Instance(*rv))))
     def test_values_are_level_set_revenues(self, inst):
         levels = LevelSetOracle(inst.revenues)
-        values = levels.values(inst.utilities)
+        values = levels.ranked_values(inst.utilities[levels.order])[::-1]
         assert levels.thresholds.tolist() == sorted(set(inst.revenues.tolist()))
         for theta, size, value in zip(levels.thresholds, levels.prefix_len, values):
             assert len(level_set(inst, theta)) == size
             assert value == pytest.approx(
                 expected_revenue(inst, level_set(inst, theta)), rel=1e-12, abs=1e-15
             )
-        above_all = float(np.nextafter(levels.thresholds[-1], math.inf))
-        for theta in [*levels.thresholds.tolist(), above_all, 0.0]:
+        neighbours = [
+            float(np.nextafter(s, toward))
+            for s in levels.thresholds.tolist()
+            for toward in (-math.inf, math.inf)
+            if np.nextafter(s, toward) >= 0.0
+        ]
+        for theta in [*levels.thresholds.tolist(), *neighbours, 0.0, 0.3, 1.0, 2.0]:
             assert levels.level_set(theta) == level_set(inst, theta)
 
     @settings(max_examples=150, deadline=None)
@@ -520,7 +529,7 @@ class TestOptimalAssortment:
         revenues, utilities = case
         levels = LevelSetOracle(revenues)
         ranked = np.asarray(utilities, dtype=float)[levels.order]
-        values = levels.values(utilities)
+        values = levels.ranked_values(ranked.tolist())[::-1]
         reference = repr(two_pass_values(levels, utilities).tolist())
         assert repr(values.tolist()) == reference
         assert repr(levels.ranked_values(ranked)[::-1].tolist()) == reference
@@ -531,7 +540,7 @@ class TestOptimalAssortment:
         assert repr(value) == repr(ref_value)
         assert oracle_optimal(Instance(revenues, utilities)) == (levels.prefix(size), value)
         # No scratch buffer escapes: later calls leave a returned array alone.
-        levels.values([2.0 * u + 1.0 for u in utilities])
+        levels.ranked_values([2.0 * u + 1.0 for u in ranked.tolist()])
         levels.ranked_values(ranked[::-1] + 1.0)
         assert repr(values.tolist()) == reference
 
@@ -576,7 +585,6 @@ class TestOptimalAssortment:
             ([1.0], "length mismatch"),
         ]
         checks = (
-            levels.values,
             levels.ranked_values,
             levels.best_ranked_prefix,
             lambda u: oracle_optimal(Instance(levels.revenues, u)),

@@ -399,6 +399,32 @@ class TestGoldenRatioSearch:
         assert len(set(offers)) == 1  # still inside the first probe
         policy.next_assortment()  # period 101 starts the second probe
 
+    @pytest.mark.parametrize("horizon", [2500, 10_000])
+    def test_interval_history_records_each_probe_bracket(self, horizon):
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+        inst = generate_synthetic(30, seed=7)
+        policy = GoldenRatioSearchPolicy(inst.revenues, horizon)
+        probe = math.ceil(math.sqrt(horizon))
+        rng = np.random.default_rng(7)
+        recorded = []  # brackets recorded when each period's offer is made
+        for _ in range(horizon):
+            offer = policy.next_assortment()
+            recorded.append(len(policy.interval_history))
+            policy.observe(sample_purchase(inst, offer, rng))
+        history = policy.interval_history
+        probes = len(history)
+        assert probes * probe < horizon  # the search ends before T
+        assert recorded == [min(t // probe + 1, probes) for t in range(horizon)]
+        # Both first probes share the opening bracket; each later one drops
+        # one endpoint, keeping the golden-ratio share of the bracket.
+        assert history[0] == history[1] == (0.0, 1.0)
+        collapse = 1.0 / math.sqrt(horizon)
+        for (lo0, hi0), (lo1, hi1) in zip(history[1:], history[2:]):
+            assert hi0 - lo0 >= collapse
+            assert (lo1 == lo0) != (hi1 == hi0)
+            assert hi1 - lo1 == pytest.approx(golden * (hi0 - lo0), rel=1e-12)
+        assert history[-1][1] - history[-1][0] < collapse
+
     def test_exploits_fixed_assortment_after_search(self):
         inst = generate_synthetic(30, seed=7)
         policy = GoldenRatioSearchPolicy(inst.revenues, 2500)
@@ -436,13 +462,11 @@ class TestStatic:
 
 
 def epochs_started(policy) -> int:
-    """Trisection intervals, estimator epochs (closed ones plus the open
-    one), or golden-ratio probe levels (one cached level set per threshold)."""
+    """Trisection epochs or golden-ratio probes (one recorded interval
+    each), or estimator epochs (closed ones plus the open one)."""
     if hasattr(policy, "interval_history"):
         return len(policy.interval_history)
-    if hasattr(policy, "epochs_closed"):
-        return policy.epochs_closed + 1
-    return len(policy._level_set_cache)
+    return policy.epochs_closed + 1
 
 
 @pytest.mark.parametrize(
