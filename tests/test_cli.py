@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -286,6 +287,14 @@ class TestScaling:
         csv = (tmp_path / "scaling_grs_n10.csv").read_text().splitlines()
         assert csv[0] == "t,mean_regret"
         assert len(csv) == 3
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_csv_bytes_are_pinned(self, tmp_path, workers):
+        args = ["scaling", "--policy", "grs", "--n", "10", "--t", "50,100,200",
+                "--reps", "3", "--seed", "5", "--parallel", workers, "--out", str(tmp_path)]
+        assert run_cli(args) == 0
+        digest = hashlib.sha256((tmp_path / "scaling_grs_n10.csv").read_bytes()).hexdigest()
+        assert digest == "3174357edb59f593628c2e051f3cca0d5bbbf456daa81fab5b591ee54535f825"
 
 
 class TestVerify:

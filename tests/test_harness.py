@@ -348,13 +348,6 @@ class TestScalingStudy:
         assert alpha is None
         assert all(r == pytest.approx(0.0, abs=1e-9) for _, r in rows)
 
-    def test_rows_do_not_depend_on_workers(self):
-        runs = [
-            regret_scaling_study("grs", 10, [40, 80, 160], 3, 5, workers=workers)
-            for workers in (1, 2)
-        ]
-        assert runs[0] == runs[1]
-
     def test_requires_increasing_horizons(self):
         with pytest.raises(ValueError):
             regret_scaling_study("grs", 10, [100, 100], 1, 0)
