@@ -24,7 +24,7 @@ from .harness import (
     EpisodeLog,
     RunConfig,
     derive_seed,
-    regret_scaling_study,
+    fitted_exponent,
     run_batch,
     run_episode,
 )

@@ -7,6 +7,11 @@ Subcommands:
   verify       randomized property suites over the library's invariants
   lower-bound  diagnostics on the hard two-item instance pair
 
+``run``, ``bench``, ``scaling`` and ``lower-bound`` describe their work as
+``RunConfig``s and check them, and create ``--out`` where they write one,
+before any compute starts; ``bench`` and ``scaling`` run their cells through one loop,
+``_run_cells``, on one worker pool.
+
 Exit codes: 0 success, 1 configuration/usage error, 2 verification failure.
 """
 
@@ -20,13 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import core, properties
-from .generators import GENERATOR_NAMES, generate_lower_bound, lower_bound_tester
+from .generators import GENERATOR_NAMES, lower_bound_tester
 from .harness import (
     RunConfig,
-    derive_seed,
-    regret_scaling_study,
+    fitted_exponent,
     run_batch,
-    run_episode,
     summaries_to_json,
     worker_pool,
     write_episode_csv,
@@ -138,6 +141,12 @@ def _out_dir(arg) -> Path:
     return path
 
 
+def _check_policy(rc: RunConfig) -> None:
+    """Build the cell's policy on zero revenues at its N and T, so that a bad
+    policy or params fail before any compute."""
+    make_policy(rc.policy, np.zeros(rc.n), rc.horizon, params=rc.policy_params)
+
+
 def _policy_params(args) -> dict:
     params = {}
     if getattr(args, "ci_scale", None) is not None:
@@ -163,8 +172,9 @@ def _cmd_run(args) -> int:
         if assortment is None:
             assortment, _ = core.oracle_optimal(config.build_instance())
         config.policy_params["assortment"] = assortment
-    log = config.episode()
+    _check_policy(config)
     out = _out_dir(args.out) / f"episode_{args.policy}_n{args.n}_t{args.t}.csv"
+    log = config.episode()
     write_episode_csv(log, out)
     print(f"cumulative regret {log.cumulative_regret:.4f} -> {out}")
     return 0
@@ -207,7 +217,7 @@ def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
                 replications=replications,
                 master_seed=master_seed,
             )
-            make_policy(rc.policy, np.zeros(rc.n), rc.horizon, params=rc.policy_params)
+            _check_policy(rc)
             first = first_with_key.setdefault((rc.policy, rc.n, rc.horizon), k)
             if first != k:
                 raise ValueError(
@@ -221,15 +231,13 @@ def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
     return configs
 
 
-def _cmd_bench(args) -> int:
-    config = _load_bench_config(args.config)
-    master_seed = args.seed if args.seed is not None else config.get("master_seed", 0)
-    replications = args.reps if args.reps is not None else config.get("replications", 20)
-    configs = _bench_cells(config, master_seed, replications)
+def _run_cells(configs, workers: int) -> list:
+    """Run every cell on one pool of ``workers``, printing one line per cell
+    as it finishes, and return the cells' summaries in order. run_batch
+    returns only when all of a cell's replications have finished, so cells
+    never overlap."""
     summaries = []
-    # One pool for every cell; run_batch returns only when all of a cell's
-    # replications have finished, so cells never overlap.
-    with worker_pool(args.parallel) as pool:
+    with worker_pool(workers) as pool:
         for rc in configs:
             summary = run_batch(rc, pool=pool)
             summaries.append(summary)
@@ -237,7 +245,16 @@ def _cmd_bench(args) -> int:
                 f"{summary.policy_name:22s} N={summary.n:5d} T={summary.horizon:6d} "
                 f"mean={summary.mean_regret:8.2f} max={summary.max_regret:8.2f}"
             )
+    return summaries
+
+
+def _cmd_bench(args) -> int:
+    config = _load_bench_config(args.config)
+    master_seed = args.seed if args.seed is not None else config.get("master_seed", 0)
+    replications = args.reps if args.reps is not None else config.get("replications", 20)
+    configs = _bench_cells(config, master_seed, replications)
     out = _out_dir(args.out)
+    summaries = _run_cells(configs, args.parallel)
     (out / "bench_summaries.json").write_text(summaries_to_json(summaries))
     with open(out / "bench_summaries.csv", "w", encoding="utf-8") as fh:
         fh.write("policy,n,t,replications,mean_regret,max_regret,std_regret\n")
@@ -252,22 +269,18 @@ def _cmd_bench(args) -> int:
 
 def _cmd_scaling(args) -> int:
     horizons = [int(tok) for tok in str(args.t).split(",")]
-    rows, alpha = regret_scaling_study(
-        args.policy,
-        args.n,
-        horizons,
-        args.reps,
-        args.seed,
-        policy_params=_policy_params(args),
-        workers=args.parallel,
-    )
+    if any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise ValueError("horizons must be strictly increasing")
+    params = _policy_params(args)
+    cells = [{"policy": args.policy, "n": args.n, "t": t, "params": params} for t in horizons]
+    configs = _bench_cells({"cells": cells}, args.seed, args.reps)
     out = _out_dir(args.out) / f"scaling_{args.policy}_n{args.n}.csv"
+    rows = [(s.horizon, s.mean_regret) for s in _run_cells(configs, args.parallel)]
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("t,mean_regret\n")
         for t, mean in rows:
             fh.write(f"{t},{mean!r}\n")
-    for t, mean in rows:
-        print(f"T={t:7d}  mean regret {mean:.4f}")
+    alpha = fitted_exponent(rows)
     print("fitted exponent:", "undefined" if alpha is None else f"{alpha:.3f}")
     return 0
 
@@ -283,27 +296,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lower_bound(args) -> int:
-    p0 = generate_lower_bound("P0", args.n, args.t)
-    p1 = generate_lower_bound("P1", args.n, args.t)
-    params = _policy_params(args)
+    sides = {
+        variant: RunConfig(
+            policy=args.policy,
+            n=args.n,
+            horizon=args.t,
+            generator=f"lower_bound_{variant.lower()}",
+            policy_params=_policy_params(args),
+            replications=args.reps,
+            master_seed=args.seed,
+        )
+        for variant in ("P0", "P1")
+    }
     # A bad policy or params fails here, before anything is printed.
-    make_policy(args.policy, p0.revenues, args.t, params=params)
+    _check_policy(sides["P0"])
+    p0, p1 = (rc.build_instance() for rc in sides.values())
     for assortment in ((1,), (1, 2)):
         kl = core.kl_purchase_distributions(p0, p1, assortment)
         print(f"KL(P0||P1) on S={assortment}: {kl:.3e} (bound {1/(18*args.t):.3e})")
-    outputs = []
-    for variant, inst in (("P0", p0), ("P1", p1)):
-        for k in range(args.reps):
-            log = run_episode(
-                inst,
-                args.policy,
-                args.t,
-                derive_seed(args.seed, variant, k),
-                policy_params=params,
-            )
-            outputs.append((variant, lower_bound_tester(log.assortments)))
-    for variant in ("P0", "P1"):
-        votes = [o for v, o in outputs if v == variant]
+    for variant, rc in sides.items():
+        votes = [lower_bound_tester(rc.episode(k).assortments) for k in range(rc.replications)]
         frac0 = votes.count(0) / len(votes)
         print(f"{variant}: tester output 0 in {frac0:.0%} of {len(votes)} runs")
     return 0

@@ -8,8 +8,9 @@ lower-bound pair, and ``RunConfig.episode(k)`` is the cell's replication k.
 Batches aggregate independent replications into mean/max/std summaries,
 optionally in parallel; results are independent of worker count because
 every replication owns its seed-derived random streams. One process pool
-(``worker_pool``) can serve every batch of a bench run or scaling study, so
-the workers start once rather than once per cell.
+(``worker_pool``) can serve every batch of a study, so the workers start
+once rather than once per cell. ``fitted_exponent`` reduces the summaries'
+(T, mean regret) rows to the log-log regret exponent.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = [
     "run_episode",
     "worker_pool",
     "run_batch",
-    "regret_scaling_study",
+    "fitted_exponent",
     "write_episode_csv",
     "summaries_to_json",
 ]
@@ -293,43 +294,14 @@ def run_batch(config: RunConfig, workers: int = 1, *, pool=None) -> AggregateSum
     )
 
 
-def regret_scaling_study(
-    policy: str,
-    n: int,
-    horizons,
-    replications: int,
-    master_seed: int,
-    *,
-    policy_params=None,
-    workers: int = 1,
-):
-    """Mean regret per horizon plus the fitted exponent of regret ~ c T^a.
-
-    Returns (rows, alpha) where rows is a list of (T, mean_regret) and
-    alpha is the log-log least-squares slope, or None when any mean regret
-    is nonpositive (the fit is undefined for an always-optimal policy).
-    """
-    horizons = list(horizons)
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ValueError("horizons must be strictly increasing")
-    configs = [
-        RunConfig(
-            policy=policy,
-            n=n,
-            horizon=horizon,
-            policy_params=dict(policy_params or {}),
-            replications=replications,
-            master_seed=master_seed,
-        )
-        for horizon in horizons
-    ]
-    with worker_pool(workers) as pool:
-        rows = [(c.horizon, run_batch(c, pool=pool).mean_regret) for c in configs]
+def fitted_exponent(rows):
+    """The log-log least-squares slope a of mean regret ~ c T^a over
+    (T, mean_regret) rows, or None for fewer than two rows or any mean
+    regret <= 0 (the fit is undefined for an always-optimal policy)."""
     means = np.array([m for _, m in rows])
     if len(rows) < 2 or np.any(means <= 0.0):
-        return rows, None
-    slope = np.polyfit(np.log([t for t, _ in rows]), np.log(means), 1)[0]
-    return rows, float(slope)
+        return None
+    return float(np.polyfit(np.log([t for t, _ in rows]), np.log(means), 1)[0])
 
 
 def write_episode_csv(log: EpisodeLog, path) -> None:

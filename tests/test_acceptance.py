@@ -15,7 +15,7 @@ from assortbench import properties
 from assortbench.cli import main as cli_main
 from assortbench.core import Instance, build_potential_profile, sample_purchase
 from assortbench.generators import generate_synthetic
-from assortbench.harness import RunConfig, derive_seed, regret_scaling_study, run_batch
+from assortbench.harness import RunConfig, derive_seed, fitted_exponent, run_batch
 from assortbench.policies import make_policy
 
 
@@ -126,9 +126,12 @@ def test_criterion_5_dimension_independence():
 
 
 def test_criterion_6_sqrt_horizon_scaling():
-    rows, alpha = regret_scaling_study(
-        "adaptive-trisection", 500, [1000, 4000, 16000], 20, 123
-    )
+    configs = [
+        RunConfig(policy="adaptive-trisection", n=500, horizon=t, replications=20, master_seed=123)
+        for t in (1000, 4000, 16000)
+    ]
+    rows = [(c.horizon, run_batch(c).mean_regret) for c in configs]
+    alpha = fitted_exponent(rows)
     ok = alpha is not None and 0.3 <= alpha <= 0.7
     shown = "undefined" if alpha is None else f"{alpha:.3f}"
     detail = f"alpha {shown}, means " + ", ".join(f"{m:.1f}" for _, m in rows)

@@ -12,6 +12,7 @@ import pytest
 import assortbench
 from assortbench import core, harness
 from assortbench.cli import builtin_config, main
+from assortbench.generators import lower_bound_tester
 
 
 def run_cli(args):
@@ -275,18 +276,55 @@ class TestBench:
         assert all(c["params"] == {"ci_scale": 0.1} for c in adaptive)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--config", "CFG"],
+        ["scaling", "--policy", "grs", "--n", "10", "--t", "50,100", "--reps", "2"],
+        ["run", "--policy", "grs", "--n", "10", "--t", "50"],
+    ],
+)
+def test_unusable_out_fails_before_any_compute(tmp_path, capsys, monkeypatch, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"replications": 2, "cells": [{"policy": "grs", "n": 10, "t": 60}]}))
+    out = tmp_path / "taken"
+    out.write_text("")
+    ran = []
+    monkeypatch.setattr(harness, "run_episode", lambda *a, **k: ran.append(a))
+    argv = [str(cfg) if arg == "CFG" else arg for arg in argv]
+    assert run_cli([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno 17] File exists")
+    assert ran == []
+
+
 class TestScaling:
     def test_scaling_writes_table(self, tmp_path, capsys):
         code = run_cli(
-            ["scaling", "--policy", "grs", "--n", "10", "--t", "50,100",
-             "--reps", "2", "--out", str(tmp_path)]
+            ["scaling", "--policy", "grs", "--n", "20", "--t", "100,400",
+             "--reps", "2", "--seed", "3", "--out", str(tmp_path)]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "fitted exponent" in out
-        csv = (tmp_path / "scaling_grs_n10.csv").read_text().splitlines()
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("grs") and "T=   100" in lines[0]
+        assert lines[1].startswith("grs") and "T=   400" in lines[1]
+        assert float(lines[2].removeprefix("fitted exponent: ")) > 0
+        csv = (tmp_path / "scaling_grs_n20.csv").read_text().splitlines()
         assert csv[0] == "t,mean_regret"
         assert len(csv) == 3
+
+    @pytest.mark.parametrize("horizons", ["100,100", "400,100"])
+    def test_horizons_not_increasing_fail_before_any_cell(self, tmp_path, capsys, horizons):
+        out = tmp_path / "out"
+        args = ["scaling", "--policy", "grs", "--n", "10", "--t", horizons, "--out", str(out)]
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: horizons must be strictly increasing"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_csv_bytes_are_pinned(self, tmp_path, workers):
@@ -324,6 +362,24 @@ class TestLowerBound:
         out = capsys.readouterr().out
         assert "KL(P0||P1)" in out
         assert "tester output 0" in out
+
+    def test_votes_come_from_the_run_config_episodes(self, capsys):
+        args = ["lower-bound", "--policy", "grs", "--n", "3", "--t", "64", "--reps", "5",
+                "--seed", "4"]
+        assert run_cli(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "KL(P0||P1) on S=(1,): 4.886e-04 (bound 8.681e-04)",
+            "KL(P0||P1) on S=(1, 2): 4.327e-04 (bound 8.681e-04)",
+        ]
+        for line, variant in zip(lines[2:], ("p0", "p1")):
+            config = harness.RunConfig(policy="grs", n=3, horizon=64, replications=5,
+                                       master_seed=4, generator=f"lower_bound_{variant}")
+            votes = [lower_bound_tester(config.episode(k).assortments) for k in range(5)]
+            assert line == (
+                f"{variant.upper()}: tester output 0 in {votes.count(0) / 5:.0%} of 5 runs"
+            )
+        assert len(lines) == 4
 
     def test_bad_policy_fails_before_any_output(self, capsys):
         code = run_cli(["lower-bound", "--policy", "static", "--t", "1", "--reps", "1"])

@@ -15,7 +15,7 @@ from assortbench.harness import (
     EpisodeLog,
     RunConfig,
     derive_seed,
-    regret_scaling_study,
+    fitted_exponent,
     run_batch,
     run_episode,
     summaries_to_json,
@@ -331,30 +331,24 @@ class TestRunBatch:
             assert pool.map is map
 
 
-class TestScalingStudy:
+class TestFittedExponent:
     def test_oracle_policy_has_undefined_exponent(self):
-        # The study derives its instance from the master seed, so resolve
+        # Each cell derives its instance from the master seed, so resolve
         # the oracle assortment from the same derivation.
         probe = RunConfig(policy="grs", n=10, horizon=20, master_seed=9)
         best, _ = oracle_optimal(probe.build_instance())
-        rows, alpha = regret_scaling_study(
-            "static",
-            10,
-            [20, 40],
-            1,
-            9,
-            policy_params={"assortment": best},
-        )
-        assert alpha is None
+        rows = []
+        for horizon in (20, 40):
+            config = RunConfig(policy="static", n=10, horizon=horizon, master_seed=9,
+                               policy_params={"assortment": best})
+            rows.append((horizon, run_batch(config).mean_regret))
         assert all(r == pytest.approx(0.0, abs=1e-9) for _, r in rows)
+        assert fitted_exponent(rows) is None
 
-    def test_requires_increasing_horizons(self):
-        with pytest.raises(ValueError):
-            regret_scaling_study("grs", 10, [100, 100], 1, 0)
-
-    def test_positive_exponent_for_searching_policy(self):
-        rows, alpha = regret_scaling_study("grs", 20, [100, 400], 2, 3)
-        assert alpha is not None and alpha > 0
+    def test_fit_needs_two_positive_rows(self):
+        assert fitted_exponent([(100, 4.0)]) is None
+        assert fitted_exponent([(100, 4.0), (400, -1.0)]) is None
+        assert fitted_exponent([(100, 4.0), (400, 8.0)]) == pytest.approx(0.5)
 
 
 class TestOutputs:
