@@ -13,18 +13,17 @@ Instances and potential profiles are immutable after construction and safe
 to share across threads; only the caller-owned uniform source (anything
 whose ``random()`` returns the next uniform, such as a numpy ``Generator``)
 is advanced by sampling. A prepared offer is immutable apart from its memo
-of purchase outcomes, and a level-set oracle apart from its memo of
-prefixes: either may be shared across threads, but equal outcomes or
-offers are then not guaranteed to be one object.
+of purchase outcomes: it may be shared across threads, but equal outcomes
+are then not guaranteed to be one object. A level-set oracle is immutable.
 
 A ``PreparedOffer`` is the one MNL purchase distribution: the functions
 over assortments delegate to it. Its draw is one uniform and a bisection
 over memoryviews, creating no numpy scalar, and it builds each item's
 ``PurchaseOutcome`` on the item's first purchase only. A ``LevelSetOracle``
-sorts a revenue vector once; every level set is a prefix of that order,
-built into a tuple once per size by ``prefix``, and a level-set
-optimization is one pass over the prefixes, taking utilities in revenue
-rank order. ``level_set``'s plain mask stays as the independent reference.
+sorts a revenue vector once; every level set is a prefix of that order, so
+its size names it, and a level-set optimization is one pass over the
+prefixes, taking utilities in revenue rank order. ``level_set``'s plain
+mask stays as the independent reference.
 """
 
 from __future__ import annotations
@@ -299,7 +298,7 @@ def sample_purchase(instance: Instance, assortment, rng) -> PurchaseOutcome:
 
 def level_set(instance: Instance, theta: float) -> tuple:
     """The theta-level set: all items whose revenue is >= theta (a mask,
-    the reference for ``LevelSetOracle.level_set``)."""
+    the reference for ``LevelSetOracle.level_size``)."""
     _check_theta(theta)
     return tuple((np.flatnonzero(instance.revenues >= theta) + 1).tolist())
 
@@ -315,11 +314,12 @@ class LevelSetOracle:
     Holds the stable descending order of the revenues, the sorted revenues,
     the distinct revenues (ascending) as thresholds, and for each threshold
     s the size of its level set {i : r_i >= s}, which is a prefix of the
-    descending order. One level set is then a binary search away, and
-    evaluating all of them under new utilities costs two running sums
-    instead of a sort; the best is read off the same pass. The ``ranked_``
-    methods take utilities in rank order (position k of ``order``); callers
-    holding them in item order gather with ``order`` first.
+    descending order. A level set is named by that size, a binary search
+    away, and evaluating all of them under new utilities costs two running
+    sums instead of a sort; the best is read off the same pass. The
+    ``ranked_`` methods take utilities in rank order (position k of
+    ``order``); callers holding them in item order gather with ``order``
+    first.
     """
 
     def __init__(self, revenues):
@@ -342,7 +342,6 @@ class LevelSetOracle:
         self.thresholds = thresholds
         self.prefix_len = prefix_len
         self._ends = ends
-        self._prefixes: dict = {}  # size -> the tuple ``prefix`` returns
 
     def ranked_values(self, ranked_utilities) -> np.ndarray:
         """R({r >= s}) for each threshold s, largest threshold (smallest
@@ -369,31 +368,20 @@ class LevelSetOracle:
         # would only copy.
         return cum_rv[self._ends] if self._ends.size < cum_rv.size else cum_rv
 
-    def prefix(self, size: int) -> tuple:
-        """The first ``size`` items of ``order`` as ascending 1-based item
-        ids. Each size is built once: every call with it returns one tuple."""
-        offer = self._prefixes.get(size)
-        if offer is None:
-            offer = self._prefixes[size] = tuple((np.sort(self.order[:size]) + 1).tolist())
-        return offer
-
-    def prefix_items(self, offer):
-        """The items of ``offer`` as an ascending array of 1-based ids, read
-        off the sort, when ``offer`` is one of the tuples ``prefix`` has
-        returned (matched by identity, so no tuple is built or hashed);
-        otherwise None."""
-        size = len(offer)
-        if self._prefixes.get(size) is not offer:
-            return None
-        return np.sort(self.order[:size]) + 1
-
-    def level_set(self, theta: float) -> tuple:
-        """Items (1-based, ascending) whose revenue is >= ``theta``, as the
-        ``prefix`` of that size: the level set of the smallest threshold
-        >= ``theta``, or the empty one past the last threshold."""
+    def level_size(self, theta: float) -> int:
+        """Size of the level set {i : r_i >= ``theta``}: that of the smallest
+        threshold >= ``theta``, or 0 past the last threshold."""
         _check_theta(theta)
         k = self.thresholds.searchsorted(theta)
-        return self.prefix(int(self.prefix_len[k]) if k < self.thresholds.size else 0)
+        return int(self.prefix_len[k]) if k < self.thresholds.size else 0
+
+    def prefix_items(self, size: int) -> np.ndarray:
+        """The first ``size`` items of ``order``: ascending 1-based ids."""
+        return np.sort(self.order[:size]) + 1
+
+    def prefix(self, size: int) -> tuple:
+        """``prefix_items(size)`` as a new tuple of ints."""
+        return tuple(self.prefix_items(size).tolist())
 
     def best_ranked_prefix(self, ranked_utilities):
         """Size of the best level set (a prefix of ``order``) and its

@@ -63,7 +63,8 @@ class EpisodeLog:
     """The record of one policy run, each fact stored once.
 
     ``offers`` holds each distinct offer once, in the order first offered,
-    as (assortment, size, expected revenue, instantaneous expected regret).
+    as (offer, size, expected revenue, instantaneous expected regret); the
+    offer is the policy's own, a level-set size of ``levels`` or a tuple.
     Per period, ``offer_index`` holds the position of its offer in
     ``offers`` and ``rewards`` the revenue of its sampled purchase. The
     per-period lists ``steps``, ``assortments`` and ``realized_rewards``
@@ -76,6 +77,7 @@ class EpisodeLog:
     offers: list = field(default_factory=list)
     offer_index: array = field(default_factory=lambda: array("q"))
     rewards: array = field(default_factory=lambda: array("d"))
+    levels: LevelSetOracle = None
 
     @property
     def horizon(self) -> int:
@@ -89,8 +91,10 @@ class EpisodeLog:
 
     @property
     def assortments(self) -> list:
-        """The offer of each period: the policy's own tuple."""
-        offers = [entry[0] for entry in self.offers]
+        """The offer of each period as a tuple of item ids, one tuple object
+        per distinct offer."""
+        prefix = self.levels.prefix
+        offers = [o if isinstance(o, tuple) else prefix(o) for o, *_ in self.offers]
         return [offers[k] for k in self.offer_index]
 
     @property
@@ -206,12 +210,11 @@ def run_episode(
     assortment under the true instance.
 
     One ``LevelSetOracle`` serves the episode: the policy reads its level
-    sets off it, and the optimal value is its best prefix. Offers must be
-    tuples, and each is prepared and valued once per episode and found
-    again by identity, so a repeated offer costs O(log |S|) per period and
-    hashes nothing; an offer that is one of the oracle's prefixes is
-    prepared from its sort. Each item's ``PurchaseOutcome`` is built once
-    per episode.
+    sets off it and the optimal value is its best prefix. An offer must be
+    a size, prepared from the oracle's sort, or a tuple; each distinct one
+    is valued once and found again by value. Only the last two offers
+    prepared are kept (a level-set policy alternates two), so a repeated
+    offer costs O(log |S|) a period; each item's ``PurchaseOutcome`` is built once.
     """
     customer_rng = np.random.default_rng(derive_seed(seed, "customer"))
     customers = SimpleNamespace(random=_block_uniforms(customer_rng, horizon).__next__)
@@ -219,36 +222,37 @@ def run_episode(
     levels = LevelSetOracle(instance.revenues)
     policy = make_policy(policy_name, levels, horizon, rng=policy_rng, params=policy_params)
     _, optimal_value = levels.best_ranked_prefix(instance.utilities[levels.order])
-    log = EpisodeLog(policy_name=policy_name, seed=seed, optimal_value=optimal_value)
+    log = EpisodeLog(policy_name=policy_name, seed=seed, optimal_value=optimal_value, levels=levels)
     offers = log.offers
     add_index = log.offer_index.append
     add_reward = log.rewards.append
+    n = instance.n
     outcomes: dict = {}  # shared by the episode's offers
-    # id(assortment) -> (its index in offers, PreparedOffer); a tuple does
-    # not cache its hash, and offers holds it, so its id is not reused
-    # within the episode.
-    prepared: dict = {}
+    positions: dict = {}  # offer -> its index in offers
+    recent: dict = {}  # index -> PreparedOffer, for the last two offers prepared
     last = None
     for _ in range(horizon):
-        assortment = policy.next_assortment()
-        if assortment is not last:
-            last = assortment
-            entry = prepared.get(id(assortment))
-            if entry is None:
-                if not isinstance(assortment, tuple):
-                    raise TypeError(
-                        f"policy {policy_name!r} ({type(policy).__name__}) offered a "
-                        f"{type(assortment).__name__}; offers must be tuples"
-                    )
-                items = levels.prefix_items(assortment)
-                offer = PreparedOffer(
-                    instance, assortment if items is None else items, outcomes
+        offer = policy.next_offer()
+        if offer is not last:
+            last = offer
+            if not (type(offer) is int and 0 <= offer <= n or isinstance(offer, tuple)):
+                raise TypeError(
+                    f"policy {policy_name!r} ({type(policy).__name__}) offered a "
+                    f"{type(offer).__name__}; offers must be sizes in [0, {n}] or tuples"
                 )
-                value = expected_revenue(instance, offer)
-                entry = prepared[id(assortment)] = (len(offers), offer)
-                offers.append((assortment, len(assortment), value, optimal_value - value))
-            index, offer = entry
-        outcome = sample_purchase(instance, offer, customers)
+            index = positions.get(offer)
+            prepared = recent.get(index)
+            if prepared is None:
+                items = offer if isinstance(offer, tuple) else levels.prefix_items(offer)
+                prepared = PreparedOffer(instance, items, outcomes)
+                if index is None:
+                    value = expected_revenue(instance, prepared)
+                    index = positions[offer] = len(offers)
+                    offers.append((offer, len(items), value, optimal_value - value))
+                if len(recent) == 2:
+                    del recent[next(iter(recent))]
+                recent[index] = prepared
+        outcome = sample_purchase(instance, prepared, customers)
         policy.observe(outcome)
         add_index(index)
         add_reward(outcome.revenue)

@@ -2,8 +2,10 @@
 
 All policies see only the item revenues, the horizon T, and the stream of
 purchase outcomes; utilities stay hidden. A policy alternates strictly
-between ``next_assortment()`` and ``observe(outcome)`` and emits at most T
-assortments.
+between ``next_offer()`` and ``observe(outcome)`` and emits at most T
+offers. An offer is a level-set size of the policy's ``LevelSetOracle``
+(every policy here but ``static``) or a tuple of item ids;
+``next_assortment()`` returns either as a tuple of item ids.
 
 Included: the trisection policy and its adaptive-confidence variant,
 epoch-based UCB and Thompson-sampling baselines, golden-ratio search over
@@ -38,11 +40,11 @@ __all__ = [
 
 
 class PolicyProtocolError(RuntimeError):
-    """next_assortment/observe were called out of order."""
+    """next_offer/observe were called out of order."""
 
 
 class HorizonExhaustedError(RuntimeError):
-    """The policy already emitted all T assortments."""
+    """The policy already emitted all T offers."""
 
 
 def _level_sets(revenues) -> LevelSetOracle:
@@ -54,10 +56,10 @@ class Policy:
     """Base class driving a decision generator.
 
     Subclasses implement ``_run()``, an infinite generator that yields
-    assortments and receives the corresponding ``PurchaseOutcome`` via
-    ``send``; level sets are read off one ``LevelSetOracle``, as its
-    ``prefix`` tuples. ``revenues`` is that oracle, or a revenue vector it
-    is built from. The generator's frame refers back to the policy, so
+    offers and receives the corresponding ``PurchaseOutcome`` via
+    ``send``; level sets are read off one ``LevelSetOracle`` and offered
+    as their sizes. ``revenues`` is that oracle, or a revenue vector it is
+    built from. The generator's frame refers back to the policy, so
     ``observe`` closes it once the T-th outcome is sent: a finished policy
     is freed without a garbage collection, its statistics readable.
     """
@@ -75,7 +77,8 @@ class Policy:
 
     # -- protocol ---------------------------------------------------------
 
-    def next_assortment(self) -> tuple:
+    def next_offer(self):
+        """The next offer: a level-set size or a tuple of item ids."""
         if self._awaiting_observe:
             raise PolicyProtocolError("observe() must be called before the next offer")
         if self._offers >= self.horizon:
@@ -84,9 +87,14 @@ class Policy:
         self._awaiting_observe = True
         return self._pending
 
+    def next_assortment(self) -> tuple:
+        """The next offer as a tuple of 1-based item ids."""
+        offer = self.next_offer()
+        return self._levels.prefix(offer) if isinstance(offer, int) else offer
+
     def observe(self, outcome: PurchaseOutcome) -> None:
         if not self._awaiting_observe:
-            raise PolicyProtocolError("observe() without a preceding next_assortment()")
+            raise PolicyProtocolError("observe() without a preceding next_offer()")
         self._awaiting_observe = False
         self._pending = self._gen.send(outcome)
         if self._offers == self.horizon:  # no offer can follow
@@ -148,17 +156,17 @@ class TrisectionPolicy(Policy):
             x = (2.0 * a + b) / 3.0
             y = (a + 2.0 * b) / 3.0
             budget = self._inner_budget(y - x)
-            explore_set = self._levels.level_set(y)
-            exploit_set = self._levels.level_set(a)
+            explore = self._levels.level_size(y)
+            exploit = self._levels.level_size(a)
             total, count = 0.0, 0
             lower, upper = 0.0, 1.0
             for _ in range(budget):
                 if lower <= y <= upper:
-                    outcome = yield explore_set
+                    outcome = yield explore
                     total += outcome.revenue
                     count += 1
                     lower, upper = self._make_ci(total, count)
-                yield exploit_set
+                yield exploit
             if upper < y:
                 b = y
             else:
@@ -196,14 +204,15 @@ class _EpochEstimatorPolicy(Policy):
     estimates alone.
 
     Every offer is a prefix of the oracle's revenue order, so the statistics
-    are kept by revenue rank: closing an epoch adds 1 to the first
-    ``len(offer)`` epoch counts, and estimates built from them are already
-    in the order the oracle's kernel takes. ``epoch_counts`` and
-    ``purchase_totals`` give them in item order.
+    are kept by revenue rank: closing an epoch adds 1 to the first ``size``
+    epoch counts, and estimates built from them are already in the order
+    the oracle's kernel takes. ``epoch_counts`` and ``purchase_totals``
+    give them in item order. Each later epoch offers the best level set
+    under ``_estimates()``.
     """
 
-    def _pick_assortment(self):
-        """The next epoch's offer, as ``_plug_in_optimum`` returns it."""
+    def _estimates(self) -> np.ndarray:
+        """Estimated utilities in rank order, for the next epoch's re-solve."""
         raise NotImplementedError
 
     @property
@@ -217,31 +226,25 @@ class _EpochEstimatorPolicy(Policy):
         return self._totals[self._rank]
 
     def _run(self):
-        n = self.revenues.size
+        n = size = self.revenues.size  # the first epoch offers every item
         # The inverse of the revenue order: item i sits at position rank[i].
         self._rank = np.argsort(self._levels.order)
         rank = self._rank.tolist()
-        assortment = self._levels.prefix(n)
         self._counts = counts = np.zeros(n)  # by rank: epochs offering the item
         self._totals = totals = np.zeros(n)  # by rank: purchases in those epochs
         self.epochs_closed = 0
         while True:
             bought = []  # 0-based items purchased in this epoch
             while True:
-                outcome = yield assortment
+                outcome = yield size
                 if outcome.item == 0:
                     break
                 bought.append(outcome.item - 1)
-            counts[: len(assortment)] += 1.0
+            counts[:size] += 1.0
             for i in bought:  # integer-valued floats: exact in any order
                 totals[rank[i]] += 1.0
             self.epochs_closed += 1
-            assortment = self._pick_assortment()
-
-    def _plug_in_optimum(self, ranked_utilities: np.ndarray) -> tuple:
-        """Level-set optimum under estimated utilities, given in rank order:
-        the oracle's ``prefix`` of the length ``best_ranked_prefix`` gives."""
-        return self._levels.prefix(self._levels.best_ranked_prefix(ranked_utilities)[0])
+            size = self._levels.best_ranked_prefix(self._estimates())[0]
 
 
 class UcbPolicy(_EpochEstimatorPolicy):
@@ -260,7 +263,7 @@ class UcbPolicy(_EpochEstimatorPolicy):
         super().__init__(revenues, horizon)
         self._ucb, self._vbar = np.empty(self.revenues.size), np.empty(self.revenues.size)
 
-    def _index(self) -> np.ndarray:
+    def _estimates(self) -> np.ndarray:
         """The optimistic index by rank, in a buffer the next call reuses.
 
         The first epoch offered every item, so every count is at least 1.
@@ -277,9 +280,6 @@ class UcbPolicy(_EpochEstimatorPolicy):
         ucb += np.divide(self.C2 * log_term, t_i, out=vbar)
         return ucb
 
-    def _pick_assortment(self):
-        return self._plug_in_optimum(self._index())
-
 
 class ThompsonPolicy(_EpochEstimatorPolicy):
     """Epoch-based Thompson sampling over item utilities.
@@ -295,13 +295,13 @@ class ThompsonPolicy(_EpochEstimatorPolicy):
         self.rng = rng if rng is not None else np.random.default_rng()
         super().__init__(revenues, horizon)
 
-    def _pick_assortment(self):
+    def _estimates(self) -> np.ndarray:
         beta = self.rng.beta(self.epoch_counts, self.purchase_totals + 1.0)
         sampled = beta[self._levels.order]
         np.maximum(sampled, 1e-12, out=sampled)
         np.divide(1.0, sampled, out=sampled)
         sampled -= 1.0
-        return self._plug_in_optimum(sampled)
+        return sampled
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -325,11 +325,11 @@ class GoldenRatioSearchPolicy(Policy):
 
     def _probe(self, theta: float, lo: float, hi: float):
         self.interval_history.append((lo, hi))
-        assortment = self._levels.level_set(theta)
+        size = self._levels.level_size(theta)
         count = math.ceil(math.sqrt(self.horizon))
         total = 0.0
         for _ in range(count):
-            outcome = yield assortment
+            outcome = yield size
             total += outcome.revenue
         return total / count
 
@@ -358,7 +358,7 @@ class GoldenRatioSearchPolicy(Policy):
                 candidate = (left, left_mean)
             if candidate[1] > best_mean:
                 best_theta, best_mean = candidate
-        incumbent = self._levels.level_set(best_theta)
+        incumbent = self._levels.level_size(best_theta)
         while True:
             yield incumbent
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import assortbench
-from assortbench import core, harness
+from assortbench import core, harness, properties
 from assortbench.cli import builtin_config, main
 from assortbench.generators import lower_bound_tester
 
@@ -339,6 +339,19 @@ class TestVerify:
     def test_verify_passes_on_small_suite(self, capsys):
         assert run_cli(["verify", "--instances", "30", "--seed", "3"]) == 0
         assert "all properties passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_nonnegative_before_any_check_runs(self, monkeypatch, seed, capsys):
+        def no_checks(*args):
+            raise AssertionError("the property suite ran")
+
+        monkeypatch.setattr(properties, "failures", no_checks)
+        assert run_cli(["verify", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: assortbench verify")
+        assert lines[-1] == f"error: argument --seed: expected an integer >= 0, got {seed!r}"
 
     def test_verify_fails_when_the_fixed_point_is_off(self, monkeypatch, capsys):
         build = core.build_potential_profile

@@ -359,7 +359,7 @@ class TestLevelSets:
             lambda t: level_set(inst, t),
             lambda t: potential(inst, t),
             build_potential_profile(inst).value_at,
-            LevelSetOracle(inst.revenues).level_set,
+            LevelSetOracle(inst.revenues).level_size,
         ):
             for theta in (-0.1, math.nan):
                 with pytest.raises(ValueError, match="theta must be nonnegative"):
@@ -494,30 +494,22 @@ class TestOptimalAssortment:
             if np.nextafter(s, toward) >= 0.0
         ]
         for theta in [*levels.thresholds.tolist(), *neighbours, 0.0, 0.3, 1.0, 2.0]:
-            assert levels.level_set(theta) == level_set(inst, theta)
+            assert levels.prefix(levels.level_size(theta)) == level_set(inst, theta)
 
     @settings(max_examples=150, deadline=None)
     @given(edgy_instances(20))
-    def test_prefix_is_built_once_per_size(self, inst):
+    def test_prefix_is_the_sorted_start_of_the_order(self, inst):
         levels = LevelSetOracle(inst.revenues)
         offers = [levels.prefix(size) for size in range(inst.n + 1)]
         for size, offer in enumerate(offers):
-            assert levels.prefix(size) is offer
-            assert list(offer) == (np.sort(levels.order[:size]) + 1).tolist()
+            items = levels.prefix_items(size)
+            assert items.dtype.kind == "i"
+            assert list(offer) == items.tolist() == (np.sort(levels.order[:size]) + 1).tolist()
             assert all(type(i) is int for i in offer)
         for theta, size in zip(levels.thresholds.tolist(), levels.prefix_len.tolist()):
             assert offers[size] == level_set(inst, theta)
-            assert levels.level_set(theta) is offers[size]
-
-    def test_prefix_items_match_the_memo_by_identity(self):
-        levels = LevelSetOracle([0.2, 0.9, 0.5])
-        offer = levels.prefix(2)
-        assert offer == (2, 3)
-        items = levels.prefix_items(offer)
-        assert items.dtype.kind == "i" and items.tolist() == [2, 3]
-        assert levels.prefix_items((2, 3)) is None  # equal, but not the memo's tuple
-        assert levels.prefix_items((2,)) is None  # no prefix of that size built yet
-        assert levels.prefix_items(levels.prefix(0)).tolist() == []
+            assert levels.level_size(theta) == size
+            assert type(levels.level_size(theta)) is int
 
     @settings(max_examples=300, deadline=None)
     @given(quarter_grid_cases(30))
@@ -546,8 +538,7 @@ class TestOptimalAssortment:
 
     @settings(max_examples=150, deadline=None)
     @given(edgy_instances(20), st.data())
-    def test_plug_in_optimum_is_the_best_prefix(self, inst, data):
-        policy = UcbPolicy(inst.revenues, 10)
+    def test_re_solve_offers_the_best_prefix(self, inst, data):
         levels = LevelSetOracle(inst.revenues)
         # A few utility vectors re-drawn in any order, so sizes repeat.
         pool = data.draw(
@@ -555,16 +546,16 @@ class TestOptimalAssortment:
                 st.lists(_edgy_utility, min_size=inst.n, max_size=inst.n), min_size=1, max_size=4
             )
         )
-        sequence = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
-        first = policy.next_assortment()
-        seen = {len(first): first}  # size -> the first offer of that size
-        for utilities in [inst.utilities.tolist(), *sequence]:
-            offer = policy._plug_in_optimum(np.array(utilities)[levels.order])
-            size, _ = levels.best_ranked_prefix(np.array(utilities)[levels.order])
-            assert offer == oracle_optimal(Instance(inst.revenues, utilities))[0]
-            assert len(offer) == size
-            # A return to any earlier size hands back the earlier tuple.
-            assert offer is seen.setdefault(size, offer)
+        sequence = [inst.utilities.tolist(), *data.draw(st.lists(st.sampled_from(pool), max_size=8))]
+        ranked = [np.array(utilities)[levels.order] for utilities in sequence]
+        policy = UcbPolicy(levels, len(sequence) + 1)
+        policy._estimates = iter(ranked).__next__  # each epoch re-solves the next vector
+        assert policy.next_offer() == inst.n
+        for utilities, estimates in zip(sequence, ranked):
+            policy.observe(PurchaseOutcome(0, 0.0))  # closes the epoch
+            size = policy.next_offer()
+            assert size == levels.best_ranked_prefix(estimates)[0]
+            assert levels.prefix(size) == oracle_optimal(Instance(inst.revenues, utilities))[0]
 
     def test_revenues_checked_once_at_construction(self):
         for bad in ([1.5], [-0.1], [float("nan")], [], [[0.5]]):

@@ -119,37 +119,6 @@ class TestRunEpisode:
         regret = optimal_value - expected_revenue(inst, offer)
         assert [s[3] for s in log.steps] == [regret] * horizon
 
-    def test_offers_are_matched_by_identity_without_hashing(self, monkeypatch):
-        class CountingOffer(tuple):
-            hashes = 0
-
-            def __hash__(self):
-                self.hashes += 1
-                return super().__hash__()
-
-        # A and B alternate, then C arrives and A returns after two other
-        # offers: A B A B ... C B C A.
-        a, b, c = CountingOffer((1, 2)), CountingOffer((3,)), CountingOffer((1, 4, 5))
-        sequence = [a, b] * 500 + [c, b, c, a]
-
-        class Replay:
-            def __init__(self, *args, **kwargs):
-                self._offers = iter(sequence)
-
-            def next_assortment(self):
-                return next(self._offers)
-
-            def observe(self, outcome):
-                pass
-
-        monkeypatch.setattr(harness, "make_policy", Replay)
-        inst = generate_synthetic(10, seed=1)
-        log = harness.run_episode(inst, "static", len(sequence), seed=1)
-        assert a.hashes == b.hashes == c.hashes == 0
-        assert log.assortments == sequence
-        assert [s[1] for s in log.steps] == [len(offer) for offer in sequence]
-        assert [s[2] for s in log.steps] == [expected_revenue(inst, o) for o in sequence]
-
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_finished_policy_is_freed_without_a_collection(self, monkeypatch, name):
         # A policy and its decision generator refer to each other; the cycle
@@ -195,7 +164,7 @@ class TestRunEpisode:
             def __init__(self, *args, **kwargs):
                 self._offer, self._t = [], 0
 
-            def next_assortment(self):
+            def next_offer(self):
                 self._offer[:] = [1, 2] if self._t % 2 == 0 else [3]
                 self._t += 1
                 return self._offer
@@ -206,6 +175,21 @@ class TestRunEpisode:
         monkeypatch.setattr(harness, "make_policy", Aliasing)
         inst = generate_synthetic(10, seed=1)
         with pytest.raises(TypeError, match=r"Aliasing\) offered a list"):
+            harness.run_episode(inst, "static", 4, seed=1)
+
+    @pytest.mark.parametrize("offer", [True, -1, 11, np.int64(2), 2.0])
+    def test_sizes_must_be_ints_within_the_items(self, monkeypatch, offer):
+        class Constant:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def next_offer(self):
+                return offer
+
+        monkeypatch.setattr(harness, "make_policy", Constant)
+        inst = generate_synthetic(10, seed=1)
+        name = type(offer).__name__
+        with pytest.raises(TypeError, match=rf"Constant\) offered a {name}; .* \[0, 10\]"):
             harness.run_episode(inst, "static", 4, seed=1)
 
     def test_each_item_has_one_outcome(self, monkeypatch):
@@ -241,13 +225,27 @@ class TestRunEpisode:
         assert log.horizon == horizon
         assert peak / horizon <= 32
 
+    def test_episode_memory_is_linear_in_items(self):
+        # About 16 bytes a period and a few hundred bytes an item, however
+        # many distinct offers (about 415 here) the episode makes.
+        n, horizon = 2000, 32_000
+        inst = generate_synthetic(n, seed=3)
+        tracemalloc.start()
+        try:
+            log = run_episode(inst, "thompson", horizon, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log.offers) > 100
+        assert peak <= 16 * horizon + 1000 * n
+
     @pytest.mark.parametrize("name", (*POLICY_NAMES, "duck-typed"))
     def test_optimal_value_is_oracle_optimal(self, monkeypatch, name):
         class FirstItem:
             def __init__(self, *args, **kwargs):
                 pass
 
-            def next_assortment(self):
+            def next_offer(self):
                 return (1,)
 
             def observe(self, outcome):
