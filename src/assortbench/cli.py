@@ -8,9 +8,9 @@ Subcommands:
   lower-bound  diagnostics on the hard two-item instance pair
 
 ``run``, ``bench``, ``scaling`` and ``lower-bound`` describe their work as
-``RunConfig``s and check them, and create ``--out`` where they write one,
-before any compute starts; ``bench`` and ``scaling`` run their cells through one loop,
-``_run_cells``, on one worker pool.
+``RunConfig``s, which check themselves, and create ``--out`` where they write
+one, before any episode runs; ``bench`` and ``scaling`` run their cells
+through one loop, ``_run_cells``, on one worker pool.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 verification failure.
 """
@@ -18,15 +18,15 @@ Exit codes: 0 success, 1 configuration/usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import core, properties
-from .generators import GENERATOR_NAMES, lower_bound_tester
+from .generators import lower_bound_tester
 from .harness import (
+    GENERATOR_NAMES,
     RunConfig,
     fitted_exponent,
     run_batch,
@@ -34,7 +34,7 @@ from .harness import (
     worker_pool,
     write_episode_csv,
 )
-from .policies import POLICY_NAMES, make_policy
+from .policies import POLICY_NAMES
 
 __all__ = ["main", "build_parser", "builtin_config"]
 
@@ -148,38 +148,28 @@ def _out_dir(arg) -> Path:
     return path
 
 
-def _check_policy(rc: RunConfig) -> None:
-    """Build the cell's policy on zero revenues at its N and T, so that a bad
-    policy or params fail before any compute."""
-    make_policy(rc.policy, np.zeros(rc.n), rc.horizon, params=rc.policy_params)
-
-
 def _policy_params(args) -> dict:
-    params = {}
-    if getattr(args, "ci_scale", None) is not None:
-        if args.policy != "adaptive-trisection":
-            raise ValueError("--ci-scale only applies to adaptive-trisection")
-        params["ci_scale"] = args.ci_scale
-    return params
+    """``--ci-scale`` as a param; a RunConfig rejects it on a policy without it."""
+    return {} if args.ci_scale is None else {"ci_scale": args.ci_scale}
 
 
 def _cmd_run(args) -> int:
     if args.assortment is not None and args.policy != "static":
         raise ValueError("--assortment only applies to static")
+    params = _policy_params(args)
+    if args.policy == "static":
+        params["assortment"] = args.assortment or ()
     config = RunConfig(
         policy=args.policy,
         n=args.n,
         horizon=args.t,
         generator=args.generator,
-        policy_params=_policy_params(args),
+        policy_params=params,
         master_seed=args.seed,
     )
-    if args.policy == "static":
-        assortment = args.assortment
-        if assortment is None:
-            assortment, _ = core.oracle_optimal(config.build_instance())
-        config.policy_params["assortment"] = assortment
-    _check_policy(config)
+    if args.policy == "static" and args.assortment is None:
+        best, _ = core.oracle_optimal(config.build_instance())
+        config = dataclasses.replace(config, policy_params={**params, "assortment": best})
     out = _out_dir(args.out) / f"episode_{args.policy}_n{args.n}_t{args.t}.csv"
     log = config.episode()
     write_episode_csv(log, out)
@@ -202,19 +192,28 @@ def _load_bench_config(name_or_path: str) -> dict:
     return config
 
 
+def _check_keys(mapping: dict, allowed: tuple, what: str) -> None:
+    """Reject a key outside ``allowed``, which would otherwise be ignored."""
+    for key in mapping:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r}; {what} takes {', '.join(allowed)}")
+
+
 def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
-    """Every cell's RunConfig, each checked by building its policy on zero
-    revenues at the cell's N and T, so that a bad cell fails before any
-    cell runs. The summaries are keyed by (policy, N, T), so a cell that
+    """Every cell's RunConfig, each checked as it is built, so that a bad
+    cell, or a key that the config or a cell does not take, fails before any
+    cell runs. Summaries are keyed by ``RunConfig.key``, so a cell that
     repeats an earlier cell's key is a bad cell too."""
+    _check_keys(config, ("master_seed", "replications", "generator", "cells"), "a config")
     cells = config.get("cells")
     if not isinstance(cells, list) or not cells:
         raise ValueError("bench config needs a nonempty list of cells")
     generator = config.get("generator", "synthetic")
     configs = []
-    first_with_key: dict = {}  # (policy, n, t) -> the first cell with it
+    first_with_key: dict = {}  # key -> the first cell with it
     for k, cell in enumerate(cells):
         try:
+            _check_keys(cell, ("policy", "n", "t", "generator", "params"), "a cell")
             rc = RunConfig(
                 policy=cell["policy"],
                 n=cell["n"],
@@ -224,8 +223,7 @@ def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
                 replications=replications,
                 master_seed=master_seed,
             )
-            _check_policy(rc)
-            first = first_with_key.setdefault((rc.policy, rc.n, rc.horizon), k)
+            first = first_with_key.setdefault(rc.key, k)
             if first != k:
                 raise ValueError(
                     f"same policy, n and t as cell {first}; summaries are keyed by them"
@@ -249,7 +247,7 @@ def _run_cells(configs, workers: int) -> list:
             summary = run_batch(rc, pool=pool)
             summaries.append(summary)
             print(
-                f"{summary.policy_name:22s} N={summary.n:5d} T={summary.horizon:6d} "
+                f"{rc.policy:22s} N={rc.n:5d} T={rc.horizon:6d} "
                 f"mean={summary.mean_regret:8.2f} max={summary.max_regret:8.2f}"
             )
     return summaries
@@ -266,8 +264,9 @@ def _cmd_bench(args) -> int:
     with open(out / "bench_summaries.csv", "w", encoding="utf-8") as fh:
         fh.write("policy,n,t,replications,mean_regret,max_regret,std_regret\n")
         for s in summaries:
+            rc = s.config
             fh.write(
-                f"{s.policy_name},{s.n},{s.horizon},{s.replications},"
+                f"{rc.policy},{rc.n},{rc.horizon},{rc.replications},"
                 f"{s.mean_regret!r},{s.max_regret!r},{s.std_regret!r}\n"
             )
     print(f"wrote {out / 'bench_summaries.json'}")
@@ -282,7 +281,7 @@ def _cmd_scaling(args) -> int:
     cells = [{"policy": args.policy, "n": args.n, "t": t, "params": params} for t in horizons]
     configs = _bench_cells({"cells": cells}, args.seed, args.reps)
     out = _out_dir(args.out) / f"scaling_{args.policy}_n{args.n}.csv"
-    rows = [(s.horizon, s.mean_regret) for s in _run_cells(configs, args.parallel)]
+    rows = [(s.config.horizon, s.mean_regret) for s in _run_cells(configs, args.parallel)]
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("t,mean_regret\n")
         for t, mean in rows:
@@ -303,20 +302,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lower_bound(args) -> int:
-    sides = {
-        variant: RunConfig(
-            policy=args.policy,
-            n=args.n,
-            horizon=args.t,
-            generator=f"lower_bound_{variant.lower()}",
-            policy_params=_policy_params(args),
-            replications=args.reps,
-            master_seed=args.seed,
-        )
-        for variant in ("P0", "P1")
-    }
-    # A bad policy or params fails here, before anything is printed.
-    _check_policy(sides["P0"])
+    config = RunConfig(
+        policy=args.policy,
+        n=args.n,
+        horizon=args.t,
+        generator="lower_bound_p0",
+        policy_params=_policy_params(args),
+        replications=args.reps,
+        master_seed=args.seed,
+    )
+    sides = {"P0": config, "P1": dataclasses.replace(config, generator="lower_bound_p1")}
     p0, p1 = (rc.build_instance() for rc in sides.values())
     for assortment in ((1,), (1, 2)):
         kl = core.kl_purchase_distributions(p0, p1, assortment)

@@ -4,9 +4,8 @@
 [0.4, 0.5], utilities uniform on [10/N, 20/N]); ``generate_lower_bound``
 builds the hard two-item pair P0/P1 whose purchase distributions are nearly
 indistinguishable at horizon T; ``lower_bound_tester`` is the binary
-identity test applied to an episode's assortment sequence.
-``GENERATOR_NAMES`` lists the families that a ``RunConfig`` and
-``assortbench run --generator`` accept.
+identity test applied to an episode's assortment sequence. The families a
+``RunConfig`` draws from, and their names, are defined in ``harness``.
 """
 
 from __future__ import annotations
@@ -21,11 +20,7 @@ __all__ = [
     "generate_synthetic",
     "generate_lower_bound",
     "lower_bound_tester",
-    "GENERATOR_NAMES",
 ]
-
-# The instance families a RunConfig can draw from.
-GENERATOR_NAMES = ("synthetic", "lower_bound_p0", "lower_bound_p1")
 
 
 def generate_synthetic(n: int, seed=None) -> Instance:

@@ -2,9 +2,9 @@
 
 An episode drives one policy against one instance for exactly T periods
 and records the expected per-period regret against the optimal assortment.
-A ``RunConfig`` draws its instance from one of ``GENERATOR_NAMES``: the
-synthetic family, seeded from the master seed, or one side of the hard
-lower-bound pair, and ``RunConfig.episode(k)`` is the cell's replication k.
+A ``RunConfig`` is one checked cell drawing from one of ``GENERATOR_NAMES``:
+the synthetic family, seeded from the master seed, or one side of the hard
+lower-bound pair; its ``episode(k)`` is replication k, its ``key`` its name.
 Batches aggregate independent replications into mean/max/std summaries,
 optionally in parallel; results are independent of worker count because
 every replication owns its seed-derived random streams. One process pool
@@ -29,10 +29,11 @@ import numpy as np
 
 from .core import Instance, LevelSetOracle, PreparedOffer, expected_revenue, sample_purchase
 from .core import oracle_optimal  # noqa: F401  (perfbench's tracer wraps it by this name)
-from .generators import GENERATOR_NAMES, generate_lower_bound, generate_synthetic
+from .generators import generate_lower_bound, generate_synthetic
 from .policies import make_policy
 
 __all__ = [
+    "GENERATOR_NAMES",
     "EpisodeLog",
     "AggregateSummary",
     "RunConfig",
@@ -48,6 +49,15 @@ __all__ = [
 
 # Customer uniforms drawn per block: bounded memory at any horizon.
 UNIFORM_BLOCK = 4096
+
+# A RunConfig's instance families, name -> (n, horizon, seed) -> Instance. The
+# builders find generate_synthetic in this module, where perfbench wraps it.
+_FAMILIES = {
+    "synthetic": lambda n, horizon, seed: generate_synthetic(n, seed=seed),
+    "lower_bound_p0": lambda n, horizon, seed: generate_lower_bound("P0", n, horizon),
+    "lower_bound_p1": lambda n, horizon, seed: generate_lower_bound("P1", n, horizon),
+}
+GENERATOR_NAMES = tuple(_FAMILIES)
 
 
 def derive_seed(master_seed: int, *tokens) -> int:
@@ -110,35 +120,12 @@ class EpisodeLog:
         return total
 
 
-@dataclass(frozen=True)
-class AggregateSummary:
-    """Replication-level regret summary for one (policy, N, T) cell."""
-
-    policy_name: str
-    n: int
-    horizon: int
-    replications: int
-    mean_regret: float
-    max_regret: float
-    std_regret: float
-    regrets: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy_name,
-            "n": self.n,
-            "t": self.horizon,
-            "replications": self.replications,
-            "mean_regret": self.mean_regret,
-            "max_regret": self.max_regret,
-            "std_regret": self.std_regret,
-            "regrets": list(self.regrets),
-        }
-
-
 @dataclass
 class RunConfig:
-    """One experiment cell: generator, sizes, policy, and replication plan."""
+    """One experiment cell: generator, sizes, policy, and replication plan.
+
+    Construction checks the types and ranges, then builds the first instance
+    and the policy on its revenues: a bad cell raises ``ValueError``."""
 
     policy: str
     n: int
@@ -160,17 +147,21 @@ class RunConfig:
             raise ValueError(
                 f"unknown generator {self.generator!r}; choose from {GENERATOR_NAMES}"
             )
-        if self.generator.startswith("lower_bound") and self.n < 2:
-            raise ValueError("lower-bound generators require n >= 2")
+        revenues = self.build_instance().revenues
+        try:
+            make_policy(self.policy, revenues, self.horizon, params=self.policy_params)
+        except TypeError as exc:  # a parameter the policy does not take
+            raise ValueError(str(exc)) from exc
+
+    @property
+    def key(self) -> str:
+        """The cell's name in a summary: policy, N and T."""
+        return f"{self.policy}:n={self.n}:t={self.horizon}"
 
     def build_instance(self, replication: int = 0) -> Instance:
-        if self.generator in ("lower_bound_p0", "lower_bound_p1"):
-            variant = "P0" if self.generator.endswith("p0") else "P1"
-            return generate_lower_bound(variant, self.n, self.horizon)
-        tokens = ["instance"]
-        if self.redraw_instance:
-            tokens.append(replication)
-        return generate_synthetic(self.n, seed=derive_seed(self.master_seed, *tokens))
+        tokens = ("instance", replication) if self.redraw_instance else ("instance",)
+        build = _FAMILIES[self.generator]
+        return build(self.n, self.horizon, derive_seed(self.master_seed, *tokens))
 
     def episode(self, replication: int = 0) -> EpisodeLog:
         """Replication ``replication`` of this cell, seeded from the master seed."""
@@ -181,6 +172,29 @@ class RunConfig:
             derive_seed(self.master_seed, "replication", replication),
             policy_params=self.policy_params,
         )
+
+
+@dataclass(frozen=True)
+class AggregateSummary:
+    """Replication-level regret summary of one cell, named by its config."""
+
+    config: RunConfig
+    mean_regret: float
+    max_regret: float
+    std_regret: float
+    regrets: tuple
+
+    def to_dict(self) -> dict:
+        return {
+            "policy": self.config.policy,
+            "n": self.config.n,
+            "t": self.config.horizon,
+            "replications": self.config.replications,
+            "mean_regret": self.mean_regret,
+            "max_regret": self.max_regret,
+            "std_regret": self.std_regret,
+            "regrets": list(self.regrets),
+        }
 
 
 def _block_uniforms(rng, count: int):
@@ -287,10 +301,7 @@ def run_batch(config: RunConfig, workers: int = 1, *, pool=None) -> AggregateSum
     regrets = list(pool.map(_replication_regret, [config] * len(reps), reps))
     arr = np.array(regrets)
     return AggregateSummary(
-        policy_name=config.policy,
-        n=config.n,
-        horizon=config.horizon,
-        replications=config.replications,
+        config=config,
         mean_regret=float(arr.mean()),
         max_regret=float(arr.max()),
         std_regret=float(arr.std()),
@@ -323,8 +334,6 @@ def write_episode_csv(log: EpisodeLog, path) -> None:
 
 
 def summaries_to_json(summaries) -> str:
-    """Stable JSON rendering of batch summaries keyed by (policy, N, T)."""
-    payload = {
-        f"{s.policy_name}:n={s.n}:t={s.horizon}": s.to_dict() for s in summaries
-    }
+    """Stable JSON rendering of batch summaries keyed by their cells' keys."""
+    payload = {s.config.key: s.to_dict() for s in summaries}
     return json.dumps(payload, sort_keys=True, indent=2)

@@ -183,6 +183,11 @@ class TestBench:
             ({"policy": "adaptive-trisection", "n": 10, "t": 60,
               "params": {"ci_scale": float("inf")}}, "ci_scale must be positive and finite"),
             ({"policy": "grs", "n": 10, "t": 10.5}, "horizon must be an integer"),
+            ({"policy": "grs", "n": 1, "t": 60, "generator": "lower_bound_p0"}, "n >= 2"),
+            ({"policy": "ucb", "n": 10, "t": 50, "replications": 7}, "unknown key 'replications'"),
+            ({"policy": "ucb", "n": 10, "t": 50, "generater": "lower_bound_p0"},
+             "unknown key 'generater'"),
+            ({"policy": "ucb", "n": 10, "t": 50, "parms": {"ci_scale": 0.1}}, "unknown key 'parms'"),
         ],
     )
     def test_bad_cell_fails_before_any_cell_runs(self, tmp_path, tiny_config, capsys, bad_cell, named):
@@ -200,14 +205,15 @@ class TestBench:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "change, named",
+        "change, start, named",
         [
-            ({"replications": 2.5}, "replications must be an integer"),
-            ({"replications": True}, "replications must be an integer"),
-            ({"master_seed": "x"}, "master_seed must be an integer"),
+            ({"replications": 2.5}, "error: cell 0 ", "replications must be an integer"),
+            ({"replications": True}, "error: cell 0 ", "replications must be an integer"),
+            ({"master_seed": "x"}, "error: cell 0 ", "master_seed must be an integer"),
+            ({"master-seed": 5}, "error: unknown key 'master-seed'", "a config takes master_seed"),
         ],
     )
-    def test_bad_config_number_fails_before_any_cell_runs(self, tmp_path, capsys, change, named):
+    def test_bad_config_number_fails_before_any_cell_runs(self, tmp_path, capsys, change, start, named):
         cfg = {"master_seed": 11, "replications": 2, "cells": [{"policy": "grs", "n": 10, "t": 60}]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**cfg, **change}))
@@ -217,7 +223,7 @@ class TestBench:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: cell 0 ") and named in lines[0]
+        assert lines[0].startswith(start) and named in lines[0]
         assert not out.exists()
 
     def test_repeated_summary_key_fails_before_any_cell_runs(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import tracemalloc
 import weakref
 from array import array
@@ -295,6 +296,12 @@ class TestRunBatch:
             RunConfig(policy="grs", n=1, horizon=10, generator="lower_bound_p0")
         with pytest.raises(ValueError):
             RunConfig(policy="grs", n=5, horizon=10, generator="file")
+        with pytest.raises(ValueError, match="assortment"):
+            RunConfig(policy="static", n=5, horizon=10)
+        with pytest.raises(ValueError, match="ci_scale"):
+            RunConfig(policy="trisection", n=5, horizon=10, policy_params={"ci_scale": 0.1})
+        with pytest.raises(ValueError, match="unknown policy"):
+            RunConfig(policy="bogus", n=5, horizon=10)
         for bad in (
             {"replications": 2.5},
             {"replications": True},
@@ -371,6 +378,9 @@ class TestOutputs:
 
     def test_summaries_json_stable(self):
         config = RunConfig(policy="grs", n=10, horizon=50, replications=2, master_seed=1)
-        a = summaries_to_json([run_batch(config)])
+        summary = run_batch(config)
+        assert summary.config == config
+        a = summaries_to_json([summary])
         b = summaries_to_json([run_batch(config)])
         assert a == b
+        assert list(json.loads(a)) == [config.key] == ["grs:n=10:t=50"]
