@@ -22,8 +22,10 @@ over memoryviews, creating no numpy scalar, and it builds each item's
 ``PurchaseOutcome`` on the item's first purchase only. A ``LevelSetOracle``
 sorts a revenue vector once; every level set is a prefix of that order, so
 its size names it, and a level-set optimization is one pass over the
-prefixes, taking utilities in revenue rank order. ``level_set``'s plain
-mask stays as the independent reference.
+prefixes, taking utilities in revenue rank order. The pass can stop early:
+past a prefix, no level set is worth more than the larger of that prefix's
+value and the next revenue, so a re-solve reads only the leading ranks it
+can choose. ``level_set``'s plain mask stays as the independent reference.
 """
 
 from __future__ import annotations
@@ -316,7 +318,9 @@ class LevelSetOracle:
     s the size of its level set {i : r_i >= s}, which is a prefix of the
     descending order. A level set is named by that size, a binary search
     away, and evaluating all of them under new utilities costs two running
-    sums instead of a sort; the best is read off the same pass. The
+    sums instead of a sort; the best is read off the same pass.
+    ``best_leading_prefix`` runs the same pass over a leading block of ranks
+    and grows the block only while a longer prefix might still win. The
     ``ranked_`` methods take utilities in rank order (position k of
     ``order``); callers holding them in item order gather with ``order``
     first.
@@ -348,25 +352,32 @@ class LevelSetOracle:
         level set) first, under utilities given in rank order: entry k is
         the utility of item ``order[k]``.
 
-        The one level-set kernel, which ``best_ranked_prefix`` also reads:
-        two running sums over the prefixes, their ratio formed in place, and
-        a gather at the level-set ends; the result is a new array. Raises
-        ValueError unless the utilities match the revenues in length, are
-        finite and nonnegative, and have a finite total.
+        The level-set kernel over all N ranks; the result is a new array.
+        Raises ValueError unless the utilities match the revenues in
+        length, are finite and nonnegative, and have a finite total.
         """
         v = np.asarray(ranked_utilities, dtype=float)
         if v.shape != self.revenues.shape:
             raise ValueError(
                 f"length mismatch: {self.revenues.size} revenues vs {v.size} utilities"
             )
+        return self._leading_values(v, self._ends.size)
+
+    def _leading_values(self, v: np.ndarray, levels: int) -> np.ndarray:
+        """The values of the ``levels`` smallest level sets, under the
+        utilities ``v`` of the ranks they cover (``v.size`` is the size of
+        the last of them): two running sums over the prefixes, their ratio
+        formed in place, and a gather at the level-set ends. Running sums
+        are sequential, so a value's bits do not depend on how many ranks
+        follow it. ``v`` is checked as ``_utility_sums`` checks it.
+        """
         cum_v = _utility_sums(v)
-        cum_rv = np.multiply(self.sorted_revenues, v)
+        cum_rv = np.multiply(self.sorted_revenues[: v.size], v)
         np.add.accumulate(cum_rv, out=cum_rv)
         cum_v += 1.0
         cum_rv /= cum_v
-        # With distinct revenues every prefix is a level set, and the gather
-        # would only copy.
-        return cum_rv[self._ends] if self._ends.size < cum_rv.size else cum_rv
+        # Where every prefix is a level set the gather would only copy.
+        return cum_rv[self._ends[:levels]] if levels < v.size else cum_rv
 
     def level_size(self, theta: float) -> int:
         """Size of the level set {i : r_i >= ``theta``}: that of the smallest
@@ -389,8 +400,64 @@ class LevelSetOracle:
         takes them. Ties go to the smallest level set; when none earns a
         positive revenue, size 0 and 0.0 are returned."""
         values = self.ranked_values(ranked_utilities)
-        # The first maximum is the smallest maximizing level set.
-        i = int(values.argmax())
+        return self._best(values, int(values.argmax()))
+
+    def best_leading_prefix(self, estimates, start: int):
+        """``best_ranked_prefix`` of a utility vector read only as far as
+        its answer needs: the same size and the same value bits.
+
+        ``estimates(m)`` returns the utilities of ranks [0, m) as a float
+        array of length m; m is always the size of a level set. The first
+        block is the smallest nonempty level set of size at least ``start``.
+        The best level set within the block is final once no longer prefix
+        can beat it; otherwise the block grows to the smallest level set of
+        at least twice its size, until it holds all N ranks.
+
+        Why the stop is exact. Let m be the block's size, V its last
+        level set's value and r the revenue at rank m, the largest outside
+        the block. A prefix of k > m ranks has the exact value
+        (1 + S_v(m)) V / (1 + S_v(k)) + sum r_j v_j / (1 + S_v(k)) over
+        ranks m <= j < k: a weighted mean of V and of revenues r_j <= r, so
+        at most max(V, r). The kernel forms each value from sequential sums
+        of at most N nonnegative terms, a +1 and a division, so a computed
+        value lies within a relative (2N + 2) 2^-53 of its exact value, plus
+        an absolute (N + 2) 2^-1075 where products or quotients are
+        subnormal. Going from the computed V to the exact one and from an
+        exact later value to its computed one, every computed later value is
+        at most max(V, r) (1 + 8 (N + 8) 2^-53) + (N + 8) 2^-1072, the bound
+        computed below with the rounding of the bound itself covered by its
+        margin. The kernel keeps the first maximum, so a later value equal
+        to the best found would not displace it: the block is final when the
+        bound is at most that best.
+
+        Only the utilities read are checked, as ``ranked_values`` checks
+        them; a caller whose unread utilities might be invalid, or whose
+        total might overflow, calls ``best_ranked_prefix`` instead.
+        """
+        ends, n = self._ends, self.revenues.size
+        slack, floor = 1.0 + 8.0 * (n + 8) * 2.0**-53, (n + 8) * 2.0**-1072
+        m = min(max(start, 1), n)
+        while True:
+            levels = m
+            if ends.size < n:  # tied revenues: round m up to a level set
+                levels = int(ends.searchsorted(m - 1)) + 1
+                m = int(ends[levels - 1]) + 1
+            v = estimates(m)
+            if v.shape != (m,):
+                raise ValueError(f"length mismatch: estimates({m}) returned {v.size} utilities")
+            values = self._leading_values(v, levels)
+            i = int(values.argmax())
+            if m == n:
+                break
+            bound = max(float(values[-1]), self.sorted_revenues.item(m)) * slack + floor
+            if bound <= values[i]:
+                break
+            m = min(2 * m, n)
+        return self._best(values, i)
+
+    def _best(self, values: np.ndarray, i: int):
+        """Size and value of level set ``i``, whose value is the first
+        maximum of ``values``; 0 and 0.0 unless that value is positive."""
         value = values[i]
         if not value > 0.0:
             return 0, 0.0

@@ -149,9 +149,10 @@ class RunConfig:
             )
         revenues = self.build_instance().revenues
         try:
-            make_policy(self.policy, revenues, self.horizon, params=self.policy_params)
+            policy = make_policy(self.policy, revenues, self.horizon, params=self.policy_params)
         except TypeError as exc:  # a parameter the policy does not take
             raise ValueError(str(exc)) from exc
+        policy.close()  # freed now, not at the next garbage collection
 
     @property
     def key(self) -> str:

@@ -62,6 +62,7 @@ class Policy:
     built from. The generator's frame refers back to the policy, so
     ``observe`` closes it once the T-th outcome is sent: a finished policy
     is freed without a garbage collection, its statistics readable.
+    ``close`` does the same for a policy dropped before its last offer.
     """
 
     def __init__(self, revenues, horizon: int):
@@ -98,7 +99,12 @@ class Policy:
         self._awaiting_observe = False
         self._pending = self._gen.send(outcome)
         if self._offers == self.horizon:  # no offer can follow
-            self._gen.close()
+            self.close()
+
+    def close(self) -> None:
+        """End the decision generator, breaking its reference cycle with
+        the policy; no offer can follow, and the statistics stay readable."""
+        self._gen.close()
 
     # -- helpers ----------------------------------------------------------
 
@@ -208,11 +214,15 @@ class _EpochEstimatorPolicy(Policy):
     epoch counts, and estimates built from them are already in the order
     the oracle's kernel takes. ``epoch_counts`` and ``purchase_totals``
     give them in item order. Each later epoch offers the best level set
-    under ``_estimates()``.
+    under ``_estimates()``, which the oracle's ``best_leading_prefix`` reads
+    only as far as the ranks it can choose, starting from twice the last
+    offer's size. The estimates are finite and nonnegative by construction,
+    so the ranks left unread hold nothing the full re-solve would reject.
     """
 
-    def _estimates(self) -> np.ndarray:
-        """Estimated utilities in rank order, for the next epoch's re-solve."""
+    def _estimates(self):
+        """The next epoch's estimated utilities: a function of m returning
+        those of revenue ranks [0, m)."""
         raise NotImplementedError
 
     @property
@@ -244,7 +254,7 @@ class _EpochEstimatorPolicy(Policy):
             for i in bought:  # integer-valued floats: exact in any order
                 totals[rank[i]] += 1.0
             self.epochs_closed += 1
-            size = self._levels.best_ranked_prefix(self._estimates())[0]
+            size = self._levels.best_leading_prefix(self._estimates(), 2 * size)[0]
 
 
 class UcbPolicy(_EpochEstimatorPolicy):
@@ -259,26 +269,28 @@ class UcbPolicy(_EpochEstimatorPolicy):
     C1 = math.sqrt(48.0)
     C2 = 48.0
 
-    def __init__(self, revenues, horizon):
-        super().__init__(revenues, horizon)
-        self._ucb, self._vbar = np.empty(self.revenues.size), np.empty(self.revenues.size)
-
-    def _estimates(self) -> np.ndarray:
-        """The optimistic index by rank, in a buffer the next call reuses.
+    def _estimates(self):
+        """The optimistic index of ranks [0, m).
 
         The first epoch offered every item, so every count is at least 1.
-        The operations are the formula's, in its left-to-right order.
+        The operations are the formula's, in its left-to-right order, and
+        elementwise: an entry's bits do not depend on m.
         """
-        t_i, ucb = self._counts, self._ucb
         log_term = math.log(math.sqrt(self.revenues.size) * (self.epochs_closed + 1) + 1.0)
-        vbar = np.divide(self._totals, t_i, out=self._vbar)
-        np.multiply(vbar, log_term, out=ucb)
-        ucb /= t_i
-        np.sqrt(ucb, out=ucb)
-        ucb *= self.C1
-        ucb += vbar
-        ucb += np.divide(self.C2 * log_term, t_i, out=vbar)
-        return ucb
+        c2_log = self.C2 * log_term
+
+        def leading(m: int) -> np.ndarray:
+            t_i = self._counts[:m]
+            vbar = self._totals[:m] / t_i
+            ucb = vbar * log_term
+            ucb /= t_i
+            np.sqrt(ucb, out=ucb)
+            ucb *= self.C1
+            ucb += vbar
+            ucb += np.divide(c2_log, t_i, out=vbar)
+            return ucb
+
+        return leading
 
 
 class ThompsonPolicy(_EpochEstimatorPolicy):
@@ -288,20 +300,26 @@ class ThompsonPolicy(_EpochEstimatorPolicy):
     B ~ Beta(n_i, V_i + 1) — the posterior of the epoch-stopping
     probability 1/(1 + v_i) — and use 1/B - 1 as the utility. The first
     epoch offers every item, so every later draw has n_i >= 1. The draws
-    are made in item order, which fixes the random stream.
+    are made in item order, all N of them at every re-solve, which fixes
+    the random stream; a re-solve converts only the ranks it reads.
     """
 
     def __init__(self, revenues, horizon, *, rng=None):
         self.rng = rng if rng is not None else np.random.default_rng()
         super().__init__(revenues, horizon)
 
-    def _estimates(self) -> np.ndarray:
+    def _estimates(self):
         beta = self.rng.beta(self.epoch_counts, self.purchase_totals + 1.0)
-        sampled = beta[self._levels.order]
-        np.maximum(sampled, 1e-12, out=sampled)
-        np.divide(1.0, sampled, out=sampled)
-        sampled -= 1.0
-        return sampled
+        order = self._levels.order
+
+        def leading(m: int) -> np.ndarray:
+            sampled = beta[order[:m]]
+            np.maximum(sampled, 1e-12, out=sampled)
+            np.divide(1.0, sampled, out=sampled)
+            sampled -= 1.0
+            return sampled
+
+        return leading
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

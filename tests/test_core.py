@@ -549,13 +549,59 @@ class TestOptimalAssortment:
         sequence = [inst.utilities.tolist(), *data.draw(st.lists(st.sampled_from(pool), max_size=8))]
         ranked = [np.array(utilities)[levels.order] for utilities in sequence]
         policy = UcbPolicy(levels, len(sequence) + 1)
-        policy._estimates = iter(ranked).__next__  # each epoch re-solves the next vector
+        # Each epoch re-solves the next vector, read as far as the re-solve asks.
+        policy._estimates = iter([lambda m, e=e: e[:m] for e in ranked]).__next__
         assert policy.next_offer() == inst.n
         for utilities, estimates in zip(sequence, ranked):
             policy.observe(PurchaseOutcome(0, 0.0))  # closes the epoch
             size = policy.next_offer()
             assert size == levels.best_ranked_prefix(estimates)[0]
             assert levels.prefix(size) == oracle_optimal(Instance(inst.revenues, utilities))[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(edgy_instances(40).flatmap(lambda inst: st.tuples(st.just(inst), st.integers(0, inst.n))))
+    # Subnormal products round up, from half the smallest subnormal to all
+    # of it: the computed value of all four items exceeds the first item's
+    # although no exact one does, so a relative slack alone stops too soon.
+    @example((Instance([1.0] + [5e-324] * 3, [5e-324] + [0.5 + 2.0**-20] * 3), 0))
+    # The second revenue is the first item's computed value, so no exact
+    # value of both items exceeds it; their computed value does by a last
+    # bit, which a stop without the relative slack would miss.
+    @example((Instance([1.0, 0.2013073198249323], [0.2520460307471545, 2.4979324429601935]), 0))
+    @example((Instance([0.9, 0.1, 0.05], [1.0, 1.0, 1.0]), 0))
+    def test_leading_re_solve_matches_the_full_one(self, case):
+        inst, start = case
+        levels = LevelSetOracle(inst.revenues)
+        ranked = inst.utilities[levels.order]
+        reads = []
+
+        def estimates(m):
+            reads.append(m)
+            return ranked[:m]
+
+        size, value = levels.best_leading_prefix(estimates, start)
+        full_size, full_value = levels.best_ranked_prefix(ranked)
+        assert size == full_size
+        assert repr(value) == repr(full_value)
+        # Every block is a level set; the first is the smallest one holding
+        # ``start`` ranks, and each later one at least doubles.
+        sizes = set(levels.prefix_len.tolist())
+        assert all(m in sizes for m in reads)
+        assert reads[0] == min(m for m in sizes if m >= max(start, 1))
+        assert all(b >= min(2 * a, inst.n) and b > a for a, b in zip(reads, reads[1:]))
+
+    def test_leading_re_solve_checks_only_what_it_reads(self):
+        levels = LevelSetOracle([0.9, 0.1, 0.05])
+        # Item 1 alone earns 0.45; past two ranks nothing reaches it, so the
+        # NaN at rank 3 is never read from a start of 2, and raises from 3.
+        utilities = np.array([1.0, 1.0, math.nan])
+        assert levels.best_leading_prefix(lambda m: utilities[:m], 2) == (1, 0.45)
+        with pytest.raises(ValueError, match="finite"):
+            levels.best_leading_prefix(lambda m: utilities[:m], 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            levels.best_leading_prefix(lambda m: np.array([1.0, -1.0, 0.0])[:m], 0)
+        with pytest.raises(ValueError, match="length mismatch"):
+            levels.best_leading_prefix(lambda m: np.ones(3), 0)
 
     def test_revenues_checked_once_at_construction(self):
         for bad in ([1.5], [-0.1], [float("nan")], [], [[0.5]]):

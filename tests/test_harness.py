@@ -287,6 +287,25 @@ class TestRunBatch:
         )
         assert redraw.build_instance(0) != redraw.build_instance(2)
 
+    def test_preflight_policy_is_freed_without_a_collection(self, monkeypatch):
+        # The check builds a policy that never sees an outcome; it must not
+        # wait for a garbage collection to free its O(N) statistics.
+        refs = []
+        make_policy = harness.make_policy
+
+        def recording_make_policy(*args, **kwargs):
+            policy = make_policy(*args, **kwargs)
+            refs.append(weakref.ref(policy))
+            return policy
+
+        monkeypatch.setattr(harness, "make_policy", recording_make_policy)
+        gc.disable()
+        try:
+            RunConfig(policy="thompson", n=1000, horizon=100)
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(policy="grs", n=0, horizon=10)

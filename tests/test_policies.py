@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from assortbench import harness
-from assortbench.core import Instance, PurchaseOutcome, sample_purchase
+from assortbench.core import Instance, LevelSetOracle, PurchaseOutcome, sample_purchase
 from assortbench.generators import generate_lower_bound, generate_synthetic
 from assortbench.policies import (
     AdaptiveTrisectionPolicy,
@@ -26,7 +26,7 @@ NO_PURCHASE = PurchaseOutcome(0, 0.0)
 
 def ucb_index(policy):
     """The index ``UcbPolicy`` re-solves with, gathered into item order."""
-    return policy._estimates()[policy._rank]
+    return policy._estimates()(policy.revenues.size)[policy._rank]
 
 
 def drive(policy, instance, periods, seed=0):
@@ -186,6 +186,10 @@ class TestUcb:
                 vbar + policy.C1 * np.sqrt(vbar * log_term / counts) + policy.C2 * log_term / counts
             )
             assert np.array_equal(ucb_index(policy), reference)
+            # A re-solve reads a leading block of ranks: the same bits.
+            estimates = policy._estimates()
+            for m in {1, (n + 1) // 2, n}:
+                assert np.array_equal(estimates(m), reference[policy._levels.order[:m]])
 
     def test_offer_size_is_kept_within_an_epoch(self):
         inst = generate_synthetic(30, seed=5)
@@ -217,6 +221,28 @@ class TestUcb:
         drive(policy, inst, 200_000, seed=8)
         vbar = policy.purchase_totals[0] / policy.epoch_counts[0]
         assert abs(vbar - 1.0) < 0.05
+
+    def test_wide_episode_re_solves_read_few_ranks(self, monkeypatch):
+        # Every re-solve must choose what the full-vector re-solve chooses,
+        # which gives this regret. After the first epoch's re-solve, which
+        # reads all N ranks, the re-solves read about 6% of them.
+        reads = []
+        leading = LevelSetOracle.best_leading_prefix
+
+        def counting(self, estimates, start):
+            reads.append(0)
+
+            def counted(m):
+                reads[-1] += m
+                return estimates(m)
+
+            return leading(self, counted, start)
+
+        monkeypatch.setattr(LevelSetOracle, "best_leading_prefix", counting)
+        n = 10_000
+        log = harness.run_episode(generate_synthetic(n, seed=3), "ucb", 2000, seed=7)
+        assert repr(log.cumulative_regret) == "538.4529737969723"
+        assert reads[0] == n and sum(reads[1:]) < 0.1 * n * len(reads[1:])
 
 
 class TestThompson:
