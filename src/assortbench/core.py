@@ -22,10 +22,12 @@ over memoryviews, creating no numpy scalar, and it builds each item's
 ``PurchaseOutcome`` on the item's first purchase only. A ``LevelSetOracle``
 sorts a revenue vector once; every level set is a prefix of that order, so
 its size names it, and a level-set optimization is one pass over the
-prefixes, taking utilities in revenue rank order. The pass can stop early:
-past a prefix, no level set is worth more than the larger of that prefix's
-value and the next revenue, so a re-solve reads only the leading ranks it
-can choose. ``level_set``'s plain mask stays as the independent reference.
+prefixes, taking utilities in revenue rank order. ``best_prefix`` is the
+one such solve, and it can stop early: past a prefix, no level set is worth
+more than the larger of that prefix's value and the next revenue, so a
+re-solve reads only the leading ranks it can choose, and a solve given no
+start reads them all. ``level_set``'s plain mask stays as the independent
+reference.
 """
 
 from __future__ import annotations
@@ -80,10 +82,13 @@ class PurchaseOutcome:
 _NO_PURCHASE = PurchaseOutcome(0, 0.0)
 
 
-def _check_revenues(r: np.ndarray) -> None:
-    if not np.all(np.isfinite(r)):
+def _check_revenues(lowest: float, highest: float) -> None:
+    """Check a revenue vector by its extremes, which must carry any NaN:
+    ``np.minimum.reduce`` propagates one and numpy sorts one last (the
+    builtin ``min`` and ``max`` skip it)."""
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
         raise ValueError("revenues must be finite")
-    if np.any(r < 0.0) or np.any(r > 1.0):
+    if lowest < 0.0 or highest > 1.0:
         raise ValueError("revenues must lie in [0, 1]")
 
 
@@ -135,7 +140,7 @@ class Instance:
             )
         if r.shape[0] < 1:
             raise ValueError("instance needs at least one item")
-        _check_revenues(r)
+        _check_revenues(np.minimum.reduce(r), np.maximum.reduce(r))
         _utility_sums(v)  # every revenue formula divides by 1 + sum(v)
         r.setflags(write=False)
         v.setflags(write=False)
@@ -318,21 +323,20 @@ class LevelSetOracle:
     s the size of its level set {i : r_i >= s}, which is a prefix of the
     descending order. A level set is named by that size, a binary search
     away, and evaluating all of them under new utilities costs two running
-    sums instead of a sort; the best is read off the same pass.
-    ``best_leading_prefix`` runs the same pass over a leading block of ranks
-    and grows the block only while a longer prefix might still win. The
-    ``ranked_`` methods take utilities in rank order (position k of
-    ``order``); callers holding them in item order gather with ``order``
-    first.
+    sums instead of a sort. ``best_prefix`` is the one level-set solve: it
+    runs the same pass over a leading block of ranks and grows the block
+    only while a longer prefix might still win. ``ranked_values`` and
+    ``best_prefix`` take utilities in rank order (position k of ``order``);
+    callers holding them in item order gather with ``order`` first.
     """
 
     def __init__(self, revenues):
         r = np.array(revenues, dtype=float)
         if r.ndim != 1 or r.size < 1:
             raise ValueError("revenues must be a nonempty vector")
-        _check_revenues(r)
         order = np.argsort(-r, kind="stable")
         r_desc = r[order]
+        _check_revenues(r_desc.item(-1), r_desc.item(0))  # a NaN sorts last
         # Last prefix position of each level set, largest threshold first: the
         # last position of each distinct revenue in the descending order.
         ends = np.flatnonzero(np.append(r_desc[1:] != r_desc[:-1], True))
@@ -394,24 +398,20 @@ class LevelSetOracle:
         """``prefix_items(size)`` as a new tuple of ints."""
         return tuple(self.prefix_items(size).tolist())
 
-    def best_ranked_prefix(self, ranked_utilities):
+    def best_prefix(self, estimates, start=None):
         """Size of the best level set (a prefix of ``order``) and its
-        expected revenue, under utilities in rank order as ``ranked_values``
-        takes them. Ties go to the smallest level set; when none earns a
-        positive revenue, size 0 and 0.0 are returned."""
-        values = self.ranked_values(ranked_utilities)
-        return self._best(values, int(values.argmax()))
-
-    def best_leading_prefix(self, estimates, start: int):
-        """``best_ranked_prefix`` of a utility vector read only as far as
-        its answer needs: the same size and the same value bits.
+        expected revenue, under utilities in rank order read only as far as
+        the answer needs. Ties go to the smallest level set; when none earns
+        a positive revenue, size 0 and 0.0 are returned.
 
         ``estimates(m)`` returns the utilities of ranks [0, m) as a float
-        array of length m; m is always the size of a level set. The first
-        block is the smallest nonempty level set of size at least ``start``.
-        The best level set within the block is final once no longer prefix
-        can beat it; otherwise the block grows to the smallest level set of
-        at least twice its size, until it holds all N ranks.
+        array of length m; m is always the size of a level set. With no
+        ``start`` the first block is all N ranks. Otherwise it is the
+        smallest nonempty level set of size at least ``start``. The best
+        level set within the block is final once no longer prefix can beat
+        it; otherwise the block grows to the smallest level set of at least
+        twice its size, until it holds all N ranks. A block's values are
+        those ``ranked_values`` gives its level sets, bit for bit.
 
         Why the stop is exact. Let m be the block's size, V its last
         level set's value and r the revenue at rank m, the largest outside
@@ -432,11 +432,11 @@ class LevelSetOracle:
 
         Only the utilities read are checked, as ``ranked_values`` checks
         them; a caller whose unread utilities might be invalid, or whose
-        total might overflow, calls ``best_ranked_prefix`` instead.
+        total might overflow, passes no start.
         """
         ends, n = self._ends, self.revenues.size
         slack, floor = 1.0 + 8.0 * (n + 8) * 2.0**-53, (n + 8) * 2.0**-1072
-        m = min(max(start, 1), n)
+        m = n if start is None else min(max(start, 1), n)
         while True:
             levels = m
             if ends.size < n:  # tied revenues: round m up to a level set
@@ -453,15 +453,9 @@ class LevelSetOracle:
             if bound <= values[i]:
                 break
             m = min(2 * m, n)
-        return self._best(values, i)
-
-    def _best(self, values: np.ndarray, i: int):
-        """Size and value of level set ``i``, whose value is the first
-        maximum of ``values``; 0 and 0.0 unless that value is positive."""
-        value = values[i]
-        if not value > 0.0:
+        if not values[i] > 0.0:
             return 0, 0.0
-        return int(self._ends[i]) + 1, float(value)
+        return int(ends[i]) + 1, float(values[i])
 
 
 def build_potential_profile(instance: Instance) -> PotentialProfile:
@@ -499,7 +493,7 @@ def oracle_optimal(instance: Instance):
     when F* = 0 the empty assortment is returned.
     """
     levels = LevelSetOracle(instance.revenues)
-    size, value = levels.best_ranked_prefix(instance.utilities[levels.order])
+    size, value = levels.best_prefix(lambda m: instance.utilities[levels.order[:m]])
     return levels.prefix(size), value
 
 

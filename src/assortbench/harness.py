@@ -236,7 +236,7 @@ def run_episode(
     policy_rng = np.random.default_rng(derive_seed(seed, "policy"))
     levels = LevelSetOracle(instance.revenues)
     policy = make_policy(policy_name, levels, horizon, rng=policy_rng, params=policy_params)
-    _, optimal_value = levels.best_ranked_prefix(instance.utilities[levels.order])
+    _, optimal_value = levels.best_prefix(lambda m: instance.utilities[levels.order[:m]])
     log = EpisodeLog(policy_name=policy_name, seed=seed, optimal_value=optimal_value, levels=levels)
     offers = log.offers
     add_index = log.offer_index.append

@@ -15,6 +15,7 @@ revenue levels, and a static reference policy.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -188,6 +189,8 @@ class AdaptiveTrisectionPolicy(TrisectionPolicy):
     """
 
     def __init__(self, revenues, horizon, *, ci_scale: float = 2.0):
+        if isinstance(ci_scale, bool) or not isinstance(ci_scale, numbers.Real):
+            raise ValueError(f"ci_scale must be a number, got {ci_scale!r}")
         self.ci_scale = float(ci_scale)
         if not (self.ci_scale > 0.0 and math.isfinite(self.ci_scale)):
             raise ValueError("ci_scale must be positive and finite")
@@ -214,10 +217,12 @@ class _EpochEstimatorPolicy(Policy):
     epoch counts, and estimates built from them are already in the order
     the oracle's kernel takes. ``epoch_counts`` and ``purchase_totals``
     give them in item order. Each later epoch offers the best level set
-    under ``_estimates()``, which the oracle's ``best_leading_prefix`` reads
-    only as far as the ranks it can choose, starting from twice the last
-    offer's size. The estimates are finite and nonnegative by construction,
-    so the ranks left unread hold nothing the full re-solve would reject.
+    under ``_estimates()``, which the oracle's ``best_prefix`` reads only as
+    far as the ranks it can choose, starting from twice the last offer's
+    size. The estimates are finite and nonnegative by construction, so the
+    ranks left unread hold nothing a solve over all N would reject. UCB
+    forms its index only on the ranks read; Thompson converts all N draws
+    once, as its re-solves read most of them.
     """
 
     def _estimates(self):
@@ -254,7 +259,7 @@ class _EpochEstimatorPolicy(Policy):
             for i in bought:  # integer-valued floats: exact in any order
                 totals[rank[i]] += 1.0
             self.epochs_closed += 1
-            size = self._levels.best_leading_prefix(self._estimates(), 2 * size)[0]
+            size = self._levels.best_prefix(self._estimates(), 2 * size)[0]
 
 
 class UcbPolicy(_EpochEstimatorPolicy):
@@ -301,7 +306,7 @@ class ThompsonPolicy(_EpochEstimatorPolicy):
     probability 1/(1 + v_i) — and use 1/B - 1 as the utility. The first
     epoch offers every item, so every later draw has n_i >= 1. The draws
     are made in item order, all N of them at every re-solve, which fixes
-    the random stream; a re-solve converts only the ranks it reads.
+    the random stream, and converted once, in rank order.
     """
 
     def __init__(self, revenues, horizon, *, rng=None):
@@ -310,16 +315,11 @@ class ThompsonPolicy(_EpochEstimatorPolicy):
 
     def _estimates(self):
         beta = self.rng.beta(self.epoch_counts, self.purchase_totals + 1.0)
-        order = self._levels.order
-
-        def leading(m: int) -> np.ndarray:
-            sampled = beta[order[:m]]
-            np.maximum(sampled, 1e-12, out=sampled)
-            np.divide(1.0, sampled, out=sampled)
-            sampled -= 1.0
-            return sampled
-
-        return leading
+        sampled = beta[self._levels.order]
+        np.maximum(sampled, 1e-12, out=sampled)
+        np.divide(1.0, sampled, out=sampled)
+        sampled -= 1.0
+        return lambda m: sampled[:m]
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -13,7 +13,7 @@ import pytest
 
 from assortbench import properties
 from assortbench.cli import main as cli_main
-from assortbench.core import Instance, build_potential_profile, sample_purchase
+from assortbench.core import Instance, PreparedOffer, build_potential_profile
 from assortbench.generators import generate_synthetic
 from assortbench.harness import RunConfig, derive_seed, fitted_exponent, run_batch
 from assortbench.policies import make_policy
@@ -146,9 +146,13 @@ def test_criterion_7_trisection_interval_contains_fixed_point():
         theta_star = build_potential_profile(inst).f_star
         policy = make_policy("trisection", inst.revenues, 1000)
         rng = np.random.default_rng(derive_seed(707, "customer", k))
+        prepared = {}  # each distinct offer prepared once; draws are unchanged
         for _ in range(1000):
             assortment = policy.next_assortment()
-            policy.observe(sample_purchase(inst, assortment, rng))
+            offer = prepared.get(assortment)
+            if offer is None:
+                offer = prepared[assortment] = PreparedOffer(inst, assortment)
+            policy.observe(offer.sample(rng))
         if all(a <= theta_star <= b for a, b in policy.interval_history):
             good += 1
     _criterion(7, "interval contains the fixed point every epoch",

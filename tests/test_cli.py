@@ -182,6 +182,10 @@ class TestBench:
              "must be integers"),
             ({"policy": "adaptive-trisection", "n": 10, "t": 60,
               "params": {"ci_scale": float("inf")}}, "ci_scale must be positive and finite"),
+            ({"policy": "adaptive-trisection", "n": 10, "t": 60, "params": {"ci_scale": "0.1"}},
+             "ci_scale must be a number, got '0.1'"),
+            ({"policy": "adaptive-trisection", "n": 10, "t": 60, "params": {"ci_scale": True}},
+             "ci_scale must be a number, got True"),
             ({"policy": "grs", "n": 10, "t": 10.5}, "horizon must be an integer"),
             ({"policy": "grs", "n": 1, "t": 60, "generator": "lower_bound_p0"}, "n >= 2"),
             ({"policy": "ucb", "n": 10, "t": 50, "replications": 7}, "unknown key 'replications'"),

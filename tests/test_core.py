@@ -148,18 +148,33 @@ def cumsum_sample(instance, assortment, rng):
     return PurchaseOutcome(int(idx[pos]) + 1, float(instance.revenues[idx[pos]]))
 
 
+# Revenue vectors the checks reject, with the message each raises. A NaN
+# between finite values and an infinity of either sign must reach the
+# extremes the check reads.
+BAD_REVENUES = [
+    ([1.5], r"lie in \[0, 1\]"),
+    ([-0.1], r"lie in \[0, 1\]"),
+    ([math.nan], "must be finite"),
+    ([0.3, math.nan, 0.9], "must be finite"),
+    ([math.nan, 0.2], "must be finite"),
+    ([0.5, math.inf, 0.1], "must be finite"),
+    ([0.5, -math.inf, 0.1], "must be finite"),
+    ([0.2, 1.0000001], r"lie in \[0, 1\]"),
+    ([-1e-300, 0.5], r"lie in \[0, 1\]"),
+]
+
+
 class TestInstance:
     def test_validation(self):
         with pytest.raises(ValueError):
             Instance([], [])
         with pytest.raises(ValueError):
             Instance([0.5], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            Instance([1.5], [1.0])
+        for revenues, named in BAD_REVENUES:
+            with pytest.raises(ValueError, match=named):
+                Instance(revenues, [1.0] * len(revenues))
         with pytest.raises(ValueError):
             Instance([0.5], [-0.1])
-        with pytest.raises(ValueError):
-            Instance([float("nan")], [1.0])
         with pytest.raises(ValueError):
             Instance([0.5], [float("inf")])
         # Finite utilities whose total 1 + sum(v) overflows.
@@ -525,7 +540,7 @@ class TestOptimalAssortment:
         reference = repr(two_pass_values(levels, utilities).tolist())
         assert repr(values.tolist()) == reference
         assert repr(levels.ranked_values(ranked)[::-1].tolist()) == reference
-        size, value = levels.best_ranked_prefix(ranked)
+        size, value = levels.best_prefix(lambda m: ranked[:m])
         ref_idx, ref_value = two_pass_best_indices(levels, utilities)
         assert size == ref_idx.size
         assert levels.prefix(size) == tuple((ref_idx + 1).tolist())
@@ -552,14 +567,18 @@ class TestOptimalAssortment:
         # Each epoch re-solves the next vector, read as far as the re-solve asks.
         policy._estimates = iter([lambda m, e=e: e[:m] for e in ranked]).__next__
         assert policy.next_offer() == inst.n
-        for utilities, estimates in zip(sequence, ranked):
+        for utilities in sequence:
             policy.observe(PurchaseOutcome(0, 0.0))  # closes the epoch
             size = policy.next_offer()
-            assert size == levels.best_ranked_prefix(estimates)[0]
+            assert size == two_pass_best_indices(levels, utilities)[0].size
             assert levels.prefix(size) == oracle_optimal(Instance(inst.revenues, utilities))[0]
 
     @settings(max_examples=300, deadline=None)
-    @given(edgy_instances(40).flatmap(lambda inst: st.tuples(st.just(inst), st.integers(0, inst.n))))
+    @given(
+        edgy_instances(40).flatmap(
+            lambda inst: st.tuples(st.just(inst), st.none() | st.integers(0, inst.n))
+        )
+    )
     # Subnormal products round up, from half the smallest subnormal to all
     # of it: the computed value of all four items exceeds the first item's
     # although no exact one does, so a relative slack alone stops too soon.
@@ -579,33 +598,41 @@ class TestOptimalAssortment:
             reads.append(m)
             return ranked[:m]
 
-        size, value = levels.best_leading_prefix(estimates, start)
-        full_size, full_value = levels.best_ranked_prefix(ranked)
-        assert size == full_size
-        assert repr(value) == repr(full_value)
-        # Every block is a level set; the first is the smallest one holding
-        # ``start`` ranks, and each later one at least doubles.
+        size, value = levels.best_prefix(estimates, start)
+        ref_idx, ref_value = two_pass_best_indices(levels, inst.utilities)
+        assert size == ref_idx.size
+        assert repr(value) == repr(ref_value)
+        # Every block is a level set; the first is all N ranks with no start,
+        # else the smallest one holding ``start`` ranks, and each later one
+        # at least doubles.
         sizes = set(levels.prefix_len.tolist())
         assert all(m in sizes for m in reads)
-        assert reads[0] == min(m for m in sizes if m >= max(start, 1))
+        first = inst.n if start is None else max(start, 1)
+        assert reads[0] == min(m for m in sizes if m >= first)
         assert all(b >= min(2 * a, inst.n) and b > a for a, b in zip(reads, reads[1:]))
 
     def test_leading_re_solve_checks_only_what_it_reads(self):
         levels = LevelSetOracle([0.9, 0.1, 0.05])
         # Item 1 alone earns 0.45; past two ranks nothing reaches it, so the
-        # NaN at rank 3 is never read from a start of 2, and raises from 3.
+        # NaN at rank 3 is never read from a start of 2, and raises from 3
+        # or with no start.
         utilities = np.array([1.0, 1.0, math.nan])
-        assert levels.best_leading_prefix(lambda m: utilities[:m], 2) == (1, 0.45)
+        assert levels.best_prefix(lambda m: utilities[:m], 2) == (1, 0.45)
         with pytest.raises(ValueError, match="finite"):
-            levels.best_leading_prefix(lambda m: utilities[:m], 3)
+            levels.best_prefix(lambda m: utilities[:m], 3)
+        with pytest.raises(ValueError, match="finite"):
+            levels.best_prefix(lambda m: utilities[:m])
         with pytest.raises(ValueError, match="nonnegative"):
-            levels.best_leading_prefix(lambda m: np.array([1.0, -1.0, 0.0])[:m], 0)
+            levels.best_prefix(lambda m: np.array([1.0, -1.0, 0.0])[:m], 0)
         with pytest.raises(ValueError, match="length mismatch"):
-            levels.best_leading_prefix(lambda m: np.ones(3), 0)
+            levels.best_prefix(lambda m: np.ones(3), 0)
 
     def test_revenues_checked_once_at_construction(self):
-        for bad in ([1.5], [-0.1], [float("nan")], [], [[0.5]]):
-            with pytest.raises(ValueError):
+        for revenues, named in BAD_REVENUES:
+            with pytest.raises(ValueError, match=named):
+                LevelSetOracle(revenues)
+        for bad in ([], [[0.5]]):
+            with pytest.raises(ValueError, match="nonempty vector"):
                 LevelSetOracle(bad)
 
     def test_utilities_checked_on_every_call(self):
@@ -623,7 +650,6 @@ class TestOptimalAssortment:
         ]
         checks = (
             levels.ranked_values,
-            levels.best_ranked_prefix,
             lambda u: oracle_optimal(Instance(levels.revenues, u)),
         )
         for bad, named in cases:

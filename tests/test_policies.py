@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from assortbench import harness
-from assortbench.core import Instance, LevelSetOracle, PurchaseOutcome, sample_purchase
+from assortbench.core import (
+    Instance,
+    LevelSetOracle,
+    PreparedOffer,
+    PurchaseOutcome,
+    sample_purchase,
+)
 from assortbench.generators import generate_lower_bound, generate_synthetic
 from assortbench.policies import (
     AdaptiveTrisectionPolicy,
@@ -30,13 +36,19 @@ def ucb_index(policy):
 
 
 def drive(policy, instance, periods, seed=0):
-    """Run a policy against an instance, returning the assortment sequence."""
+    """Run a policy against an instance, returning the assortment sequence.
+    Each distinct assortment is prepared once; a draw takes one uniform
+    either way, so the purchases are those of ``sample_purchase``."""
     rng = np.random.default_rng(seed)
     offered = []
+    prepared = {}
     for _ in range(periods):
         assortment = policy.next_assortment()
         offered.append(assortment)
-        policy.observe(sample_purchase(instance, assortment, rng))
+        offer = prepared.get(assortment)
+        if offer is None:
+            offer = prepared[assortment] = PreparedOffer(instance, assortment)
+        policy.observe(offer.sample(rng))
     return offered
 
 
@@ -223,13 +235,16 @@ class TestUcb:
         assert abs(vbar - 1.0) < 0.05
 
     def test_wide_episode_re_solves_read_few_ranks(self, monkeypatch):
-        # Every re-solve must choose what the full-vector re-solve chooses,
+        # Every re-solve must choose what a solve over all N ranks chooses,
         # which gives this regret. After the first epoch's re-solve, which
-        # reads all N ranks, the re-solves read about 6% of them.
+        # reads all N ranks, the re-solves read about 6% of them. The
+        # episode's optimal value, the one solve with no start, is not counted.
         reads = []
-        leading = LevelSetOracle.best_leading_prefix
+        leading = LevelSetOracle.best_prefix
 
-        def counting(self, estimates, start):
+        def counting(self, estimates, start=None):
+            if start is None:
+                return leading(self, estimates)
             reads.append(0)
 
             def counted(m):
@@ -238,7 +253,7 @@ class TestUcb:
 
             return leading(self, counted, start)
 
-        monkeypatch.setattr(LevelSetOracle, "best_leading_prefix", counting)
+        monkeypatch.setattr(LevelSetOracle, "best_prefix", counting)
         n = 10_000
         log = harness.run_episode(generate_synthetic(n, seed=3), "ucb", 2000, seed=7)
         assert repr(log.cumulative_regret) == "538.4529737969723"
@@ -503,7 +518,20 @@ class TestFactory:
         assert policy.next_assortment() == (1,)
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
-    @pytest.mark.parametrize("revenues", [[1.5], [-0.1], [float("nan")]])
+    @pytest.mark.parametrize(
+        "revenues",
+        [
+            [1.5],
+            [-0.1],
+            [math.nan],
+            [0.3, math.nan, 0.9],
+            [math.nan, 0.2],
+            [0.5, math.inf, 0.1],
+            [0.5, -math.inf, 0.1],
+            [0.2, 1.0000001],
+            [-1e-300, 0.5],
+        ],
+    )
     def test_every_policy_rejects_bad_revenues(self, name, revenues):
         params = {"assortment": (1,)} if name == "static" else {}
         with pytest.raises(ValueError):
@@ -513,6 +541,8 @@ class TestFactory:
         accepted = [
             ("trisection", {}),
             ("adaptive-trisection", {"ci_scale": 0.1}),
+            ("adaptive-trisection", {"ci_scale": 2}),
+            ("adaptive-trisection", {"ci_scale": np.float64(0.1)}),
             ("ucb", {}),
             ("thompson", {}),
             ("grs", {}),
@@ -535,6 +565,9 @@ class TestFactory:
             ("adaptive-trisection", {"ci_scale": -1.0}),
             ("adaptive-trisection", {"ci_scale": float("nan")}),
             ("adaptive-trisection", {"ci_scale": float("inf")}),
+            ("adaptive-trisection", {"ci_scale": "0.1"}),
+            ("adaptive-trisection", {"ci_scale": True}),
+            ("adaptive-trisection", {"ci_scale": np.True_}),
             ("ucb", {"c1": math.sqrt(48.0)}),
             ("ucb", {"c2": 48.0}),
         ]
