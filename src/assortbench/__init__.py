@@ -18,7 +18,7 @@ from .core import (
     potential,
     sample_purchase,
 )
-from .generators import generate_lower_bound, generate_synthetic, lower_bound_tester
+from .generators import generate_lower_bound, generate_synthetic
 from .harness import (
     AggregateSummary,
     EpisodeLog,

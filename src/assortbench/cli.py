@@ -1,16 +1,16 @@
 """Benchmark command line.
 
 Subcommands:
-  run          one episode, per-period CSV
-  bench        a grid of (policy, N, T) cells, JSON + CSV summaries
-  scaling      mean regret across horizons with a fitted log-log exponent
-  verify       randomized property suites over the library's invariants
-  lower-bound  diagnostics on the hard two-item instance pair
+  run      one episode, per-period CSV
+  bench    a grid of (policy, N, T, generator) cells, JSON + CSV summaries;
+           the built-in ``table2`` and ``hardpair`` grids
+  scaling  mean regret across horizons with a fitted log-log exponent
+  verify   randomized property suites over the library's invariants
 
-``run``, ``bench``, ``scaling`` and ``lower-bound`` describe their work as
-``RunConfig``s, which check themselves, and create ``--out`` where they write
-one, before any episode runs; ``bench`` and ``scaling`` run their cells
-through one loop, ``_run_cells``, on one worker pool.
+``run``, ``bench`` and ``scaling`` describe their work as ``RunConfig``s,
+which check themselves, and create ``--out`` where they write one, before
+any episode runs; ``bench`` and ``scaling`` run their cells through one
+loop, ``_run_cells``, on one worker pool.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 verification failure.
 """
@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 
 from . import core, properties
-from .generators import lower_bound_tester
 from .harness import (
     GENERATOR_NAMES,
     RunConfig,
@@ -48,17 +47,28 @@ _TABLE2_GRID = [
     (500, 1000),
     (1000, 1000),
 ]
+_POLICIES = ("ucb", "thompson", "grs", "trisection", "adaptive-trisection")
+
+
+def _cell(policy: str, n: int, t: int) -> dict:
+    params = {"ci_scale": 0.1} if policy == "adaptive-trisection" else {}
+    return {"policy": policy, "n": n, "t": t, "params": params}
 
 
 def builtin_config(name: str) -> dict:
-    """Named built-in bench configs; currently only 'table2'."""
-    if name != "table2":
+    """Named built-in bench configs: 'table2', the paper's Table 2 grid, and
+    'hardpair', its policies at N=2 on both sides of the hard pair."""
+    if name == "table2":
+        cells = [_cell(p, n, t) for n, t in _TABLE2_GRID for p in _POLICIES]
+    elif name == "hardpair":
+        cells = [
+            {**_cell(p, 2, t), "generator": g}
+            for t in (1000, 4000, 16000)
+            for p in _POLICIES
+            for g in ("lower_bound_p0", "lower_bound_p1")
+        ]
+    else:
         raise KeyError(name)
-    cells = []
-    for n, t in _TABLE2_GRID:
-        for policy in ("ucb", "thompson", "grs", "trisection", "adaptive-trisection"):
-            params = {"ci_scale": 0.1} if policy == "adaptive-trisection" else {}
-            cells.append({"policy": policy, "n": n, "t": t, "params": params})
     return {"master_seed": 20240817, "replications": 20, "cells": cells}
 
 
@@ -133,11 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="randomized property suites")
     p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--instances", type=_count, default=500)
-
-    p_lb = sub.add_parser("lower-bound", help="hard-pair diagnostics")
-    common(p_lb)
-    p_lb.add_argument("--t", type=int, default=1000, help="horizon")
-    p_lb.add_argument("--reps", type=_count, default=20)
 
     return parser
 
@@ -225,9 +230,7 @@ def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
             )
             first = first_with_key.setdefault(rc.key, k)
             if first != k:
-                raise ValueError(
-                    f"same policy, n and t as cell {first}; summaries are keyed by them"
-                )
+                raise ValueError(f"same key {rc.key} as cell {first}; summaries are keyed by it")
         except KeyError as exc:
             raise ValueError(f"cell {k} {json.dumps(cell)}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -242,12 +245,13 @@ def _run_cells(configs, workers: int) -> list:
     returns only when all of a cell's replications have finished, so cells
     never overlap."""
     summaries = []
+    width = max(len(rc.key) for rc in configs)
     with worker_pool(workers) as pool:
         for rc in configs:
             summary = run_batch(rc, pool=pool)
             summaries.append(summary)
             print(
-                f"{rc.policy:22s} N={rc.n:5d} T={rc.horizon:6d} "
+                f"{rc.key:{width}s}  "
                 f"mean={summary.mean_regret:8.2f} max={summary.max_regret:8.2f}"
             )
     return summaries
@@ -262,11 +266,11 @@ def _cmd_bench(args) -> int:
     summaries = _run_cells(configs, args.parallel)
     (out / "bench_summaries.json").write_text(summaries_to_json(summaries))
     with open(out / "bench_summaries.csv", "w", encoding="utf-8") as fh:
-        fh.write("policy,n,t,replications,mean_regret,max_regret,std_regret\n")
+        fh.write("policy,n,t,generator,replications,mean_regret,max_regret,std_regret\n")
         for s in summaries:
             rc = s.config
             fh.write(
-                f"{rc.policy},{rc.n},{rc.horizon},{rc.replications},"
+                f"{rc.policy},{rc.n},{rc.horizon},{rc.generator},{rc.replications},"
                 f"{s.mean_regret!r},{s.max_regret!r},{s.std_regret!r}\n"
             )
     print(f"wrote {out / 'bench_summaries.json'}")
@@ -301,28 +305,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_lower_bound(args) -> int:
-    config = RunConfig(
-        policy=args.policy,
-        n=args.n,
-        horizon=args.t,
-        generator="lower_bound_p0",
-        policy_params=_policy_params(args),
-        replications=args.reps,
-        master_seed=args.seed,
-    )
-    sides = {"P0": config, "P1": dataclasses.replace(config, generator="lower_bound_p1")}
-    p0, p1 = (rc.build_instance() for rc in sides.values())
-    for assortment in ((1,), (1, 2)):
-        kl = core.kl_purchase_distributions(p0, p1, assortment)
-        print(f"KL(P0||P1) on S={assortment}: {kl:.3e} (bound {1/(18*args.t):.3e})")
-    for variant, rc in sides.items():
-        votes = [lower_bound_tester(rc.episode(k).assortments) for k in range(rc.replications)]
-        frac0 = votes.count(0) / len(votes)
-        print(f"{variant}: tester output 0 in {frac0:.0%} of {len(votes)} runs")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -330,7 +312,6 @@ def main(argv=None) -> int:
         "bench": _cmd_bench,
         "scaling": _cmd_scaling,
         "verify": _cmd_verify,
-        "lower-bound": _cmd_lower_bound,
     }
     try:
         return handlers[args.command](args)

@@ -1,11 +1,10 @@
-"""Instance generators and lower-bound diagnostics.
+"""Instance generators.
 
 ``generate_synthetic`` draws the benchmark family (revenues uniform on
 [0.4, 0.5], utilities uniform on [10/N, 20/N]); ``generate_lower_bound``
 builds the hard two-item pair P0/P1 whose purchase distributions are nearly
-indistinguishable at horizon T; ``lower_bound_tester`` is the binary
-identity test applied to an episode's assortment sequence. The families a
-``RunConfig`` draws from, and their names, are defined in ``harness``.
+indistinguishable at horizon T. The families a ``RunConfig`` draws from,
+and their names, are defined in ``harness``.
 """
 
 from __future__ import annotations
@@ -16,11 +15,7 @@ import numpy as np
 
 from .core import Instance
 
-__all__ = [
-    "generate_synthetic",
-    "generate_lower_bound",
-    "lower_bound_tester",
-]
+__all__ = ["generate_synthetic", "generate_lower_bound"]
 
 
 def generate_synthetic(n: int, seed=None) -> Instance:
@@ -53,13 +48,3 @@ def generate_lower_bound(variant: str, n: int, horizon: int) -> Instance:
     utilities[0] = 1.0 - bump if variant == "P0" else 1.0 + bump
     utilities[1] = 1.0
     return Instance(revenues, utilities)
-
-
-def lower_bound_tester(assortments) -> int:
-    """Identity test over an assortment sequence: return 0 if at least half
-    of the periods offered item 1 without item 2, else 1."""
-    assortments = list(assortments)
-    if not assortments:
-        raise ValueError("assortment sequence is empty")
-    hits = sum(1 for s in assortments if 1 in s and 2 not in s)
-    return 0 if hits / len(assortments) >= 0.5 else 1

@@ -4,7 +4,8 @@ An episode drives one policy against one instance for exactly T periods
 and records the expected per-period regret against the optimal assortment.
 A ``RunConfig`` is one checked cell drawing from one of ``GENERATOR_NAMES``:
 the synthetic family, seeded from the master seed, or one side of the hard
-lower-bound pair; its ``episode(k)`` is replication k, its ``key`` its name.
+lower-bound pair; its ``episode(k)`` is replication k, its ``key`` its name
+(``policy:n=…:t=…``, with ``:g=<generator>`` appended off the synthetic family).
 Batches aggregate independent replications into mean/max/std summaries,
 optionally in parallel; results are independent of worker count because
 every replication owns its seed-derived random streams. One process pool
@@ -156,8 +157,10 @@ class RunConfig:
 
     @property
     def key(self) -> str:
-        """The cell's name in a summary: policy, N and T."""
-        return f"{self.policy}:n={self.n}:t={self.horizon}"
+        """The cell's name in a summary: policy, N and T, then the generator
+        unless it is the synthetic family."""
+        key = f"{self.policy}:n={self.n}:t={self.horizon}"
+        return key if self.generator == "synthetic" else f"{key}:g={self.generator}"
 
     def build_instance(self, replication: int = 0) -> Instance:
         tokens = ("instance", replication) if self.redraw_instance else ("instance",)

@@ -12,7 +12,6 @@ import pytest
 import assortbench
 from assortbench import core, harness, properties
 from assortbench.cli import builtin_config, main
-from assortbench.generators import lower_bound_tester
 
 
 def run_cli(args):
@@ -79,7 +78,7 @@ class TestRun:
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["lower-bound", "--reps", "0"], "--reps"),
+        (["scaling", "--reps", "0"], "--reps"),
         (["verify", "--instances", "-5"], "--instances"),
         (["bench", "--config", "table2", "--parallel", "0"], "--parallel"),
         (["scaling", "--parallel", "-2"], "--parallel"),
@@ -192,6 +191,8 @@ class TestBench:
             ({"policy": "ucb", "n": 10, "t": 50, "generater": "lower_bound_p0"},
              "unknown key 'generater'"),
             ({"policy": "ucb", "n": 10, "t": 50, "parms": {"ci_scale": 0.1}}, "unknown key 'parms'"),
+            ({"policy": "static", "n": 10, "t": 60},
+             "static policy requires an 'assortment' parameter"),
         ],
     )
     def test_bad_cell_fails_before_any_cell_runs(self, tmp_path, tiny_config, capsys, bad_cell, named):
@@ -231,25 +232,30 @@ class TestBench:
         assert not out.exists()
 
     def test_repeated_summary_key_fails_before_any_cell_runs(self, tmp_path, capsys):
-        # Cells 0 and 1 differ only in params, cells 2 and 3 only in generator;
-        # each pair would write one bench_summaries.json entry.
-        cells = [
-            {"policy": "adaptive-trisection", "n": 10, "t": 200, "params": {"ci_scale": 2.0}},
-            {"policy": "adaptive-trisection", "n": 10, "t": 200, "params": {"ci_scale": 0.1}},
-            {"policy": "grs", "n": 2, "t": 200, "generator": "lower_bound_p0"},
-            {"policy": "grs", "n": 2, "t": 200, "generator": "lower_bound_p1"},
-        ]
-        for cfg_cells, k, first in ((cells, 1, 0), (cells[1:], 2, 1)):
+        # The first config's cells differ only in params; the second's are one
+        # cell on the hard pair's P1 side, the first by the config's generator.
+        # Each pair would write one bench_summaries.json entry.
+        configs = (
+            ({"cells": [
+                {"policy": "adaptive-trisection", "n": 10, "t": 200, "params": {"ci_scale": 2.0}},
+                {"policy": "adaptive-trisection", "n": 10, "t": 200, "params": {"ci_scale": 0.1}},
+            ]}, "adaptive-trisection:n=10:t=200"),
+            ({"generator": "lower_bound_p1", "cells": [
+                {"policy": "grs", "n": 2, "t": 200},
+                {"policy": "grs", "n": 2, "t": 200, "generator": "lower_bound_p1"},
+            ]}, "grs:n=2:t=200:g=lower_bound_p1"),
+        )
+        for cfg, key in configs:
             path = tmp_path / "cfg.json"
-            path.write_text(json.dumps({"replications": 2, "cells": cfg_cells}))
+            path.write_text(json.dumps({"replications": 2, **cfg}))
             out = tmp_path / "out"
             assert run_cli(["bench", "--config", str(path), "--out", str(out)]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             lines = captured.err.splitlines()
             assert len(lines) == 1
-            assert lines[0].startswith(f"error: cell {k} ")
-            assert f"same policy, n and t as cell {first}" in lines[0]
+            assert lines[0].startswith("error: cell 1 ")
+            assert f"same key {key} as cell 0" in lines[0]
             assert not out.exists()
 
     def test_empty_cell_list_fails(self, tmp_path, capsys):
@@ -262,17 +268,29 @@ class TestBench:
         assert captured.err.splitlines() == ["error: bench config needs a nonempty list of cells"]
         assert not out.exists()
 
-    def test_lower_bound_generator_cell(self, tmp_path):
+    def test_lower_bound_generator_cell(self, tmp_path, capsys):
+        # The first cell takes the config's generator; the two sides of one
+        # (policy, N, T) are two cells, keyed apart by their generators.
         path = tmp_path / "cfg.json"
         cfg = {"generator": "lower_bound_p1", "replications": 2,
-               "cells": [{"policy": "adaptive-trisection", "n": 2, "t": 200}]}
+               "cells": [{"policy": "adaptive-trisection", "n": 2, "t": 200},
+                         {"policy": "adaptive-trisection", "n": 2, "t": 200,
+                          "generator": "lower_bound_p0"}]}
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert run_cli(["bench", "--config", str(path), "--out", str(out)]) == 0
+        keys = ["adaptive-trisection:n=2:t=200:g=lower_bound_p1",
+                "adaptive-trisection:n=2:t=200:g=lower_bound_p0"]
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()[:2]] == keys
         payload = json.loads((out / "bench_summaries.json").read_text())
-        assert list(payload) == ["adaptive-trisection:n=2:t=200"]
-        assert len(payload["adaptive-trisection:n=2:t=200"]["regrets"]) == 2
-        assert (out / "bench_summaries.csv").read_text().count("\n") == 2
+        assert sorted(payload) == sorted(keys)
+        assert all(len(payload[key]["regrets"]) == 2 for key in keys)
+        rows = (out / "bench_summaries.csv").read_text().splitlines()
+        assert rows[0] == "policy,n,t,generator,replications,mean_regret,max_regret,std_regret"
+        assert [row.split(",")[:5] for row in rows[1:]] == [
+            ["adaptive-trisection", "2", "200", "lower_bound_p1", "2"],
+            ["adaptive-trisection", "2", "200", "lower_bound_p0", "2"],
+        ]
 
     def test_missing_config_exits_one(self, tmp_path):
         assert run_cli(["bench", "--config", str(tmp_path / "nope.json")]) == 1
@@ -284,6 +302,38 @@ class TestBench:
         assert (100, 500) in pairs and (1000, 1000) in pairs
         adaptive = [c for c in cfg["cells"] if c["policy"] == "adaptive-trisection"]
         assert all(c["params"] == {"ci_scale": 0.1} for c in adaptive)
+
+    def test_table2_keys_and_order(self):
+        # Every table2 cell is synthetic, so its key has no generator part.
+        cfg = builtin_config("table2")
+        keys = [harness.RunConfig(policy=c["policy"], n=c["n"], horizon=c["t"],
+                                  generator=c.get("generator", "synthetic"),
+                                  policy_params=c["params"]).key
+                for c in cfg["cells"]]
+        expected = [
+            f"{policy}:n={n}:t={t}"
+            for t in (500, 1000)
+            for n in (100, 250, 500, 1000)
+            for policy in ("ucb", "thompson", "grs", "trisection", "adaptive-trisection")
+        ]
+        assert keys == expected and len(keys) == 40
+
+    def test_builtin_hardpair_config(self):
+        cfg = builtin_config("hardpair")
+        assert cfg["replications"] == 20
+        assert {c["n"] for c in cfg["cells"]} == {2}
+        keys = [harness.RunConfig(policy=c["policy"], n=c["n"], horizon=c["t"],
+                                  generator=c["generator"], policy_params=c["params"]).key
+                for c in cfg["cells"]]
+        assert len(set(keys)) == len(keys) == 30
+        policies = ("ucb", "thompson", "grs", "trisection", "adaptive-trisection")
+        assert {key.rsplit(":g=", 1)[0] for key in keys} == {
+            f"{policy}:n=2:t={t}" for policy in policies for t in (1000, 4000, 16000)
+        }
+        sides = {key.rsplit(":g=", 1)[1] for key in keys}
+        assert sides == {"lower_bound_p0", "lower_bound_p1"}
+        table2 = {c["policy"]: c["params"] for c in builtin_config("table2")["cells"]}
+        assert all(c["params"] == table2[c["policy"]] for c in cfg["cells"])
 
 
 @pytest.mark.parametrize(
@@ -319,8 +369,8 @@ class TestScaling:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
-        assert lines[0].startswith("grs") and "T=   100" in lines[0]
-        assert lines[1].startswith("grs") and "T=   400" in lines[1]
+        assert lines[0].startswith("grs:n=20:t=100 ")
+        assert lines[1].startswith("grs:n=20:t=400 ")
         assert float(lines[2].removeprefix("fitted exponent: ")) > 0
         csv = (tmp_path / "scaling_grs_n20.csv").read_text().splitlines()
         assert csv[0] == "t,mean_regret"
@@ -375,40 +425,3 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith("FAIL ") for line in lines)
 
-
-class TestLowerBound:
-    def test_diagnostics_run(self, capsys):
-        code = run_cli(
-            ["lower-bound", "--policy", "grs", "--n", "2", "--t", "64", "--reps", "2"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "KL(P0||P1)" in out
-        assert "tester output 0" in out
-
-    def test_votes_come_from_the_run_config_episodes(self, capsys):
-        args = ["lower-bound", "--policy", "grs", "--n", "3", "--t", "64", "--reps", "5",
-                "--seed", "4"]
-        assert run_cli(args) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[:2] == [
-            "KL(P0||P1) on S=(1,): 4.886e-04 (bound 8.681e-04)",
-            "KL(P0||P1) on S=(1, 2): 4.327e-04 (bound 8.681e-04)",
-        ]
-        for line, variant in zip(lines[2:], ("p0", "p1")):
-            config = harness.RunConfig(policy="grs", n=3, horizon=64, replications=5,
-                                       master_seed=4, generator=f"lower_bound_{variant}")
-            votes = [lower_bound_tester(config.episode(k).assortments) for k in range(5)]
-            assert line == (
-                f"{variant.upper()}: tester output 0 in {votes.count(0) / 5:.0%} of 5 runs"
-            )
-        assert len(lines) == 4
-
-    def test_bad_policy_fails_before_any_output(self, capsys):
-        code = run_cli(["lower-bound", "--policy", "static", "--t", "1", "--reps", "1"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "error: static policy requires an 'assortment' parameter"
-        ]

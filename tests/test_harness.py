@@ -10,7 +10,7 @@ import pytest
 
 from assortbench import harness
 from assortbench.core import PurchaseOutcome, expected_revenue, oracle_optimal, sample_purchase
-from assortbench.generators import generate_lower_bound, generate_synthetic, lower_bound_tester
+from assortbench.generators import generate_lower_bound, generate_synthetic
 from assortbench.harness import (
     UNIFORM_BLOCK,
     EpisodeLog,
@@ -59,13 +59,6 @@ class TestGenerators:
             generate_lower_bound("P2", 2, 100)
         with pytest.raises(ValueError):
             generate_lower_bound("P0", 1, 100)
-
-    def test_tester_trivial_cases(self):
-        assert lower_bound_tester([(1,)] * 10) == 0
-        assert lower_bound_tester([(1, 2)] * 10) == 1
-        assert lower_bound_tester([(1,)] * 5 + [(1, 2)] * 5) == 0
-        with pytest.raises(ValueError):
-            lower_bound_tester([])
 
 
 class TestDeriveSeed:
@@ -339,6 +332,17 @@ class TestRunBatch:
         config = RunConfig(policy="grs", n=4, horizon=100, generator=generator, replications=2)
         for k in range(2):
             assert config.build_instance(k) == generate_lower_bound(variant, 4, 100)
+
+    def test_key_names_the_generator_off_the_synthetic_family(self):
+        synthetic = RunConfig(policy="adaptive-trisection", n=2, horizon=50, replications=3,
+                              master_seed=7, policy_params={"ci_scale": 0.5})
+        assert synthetic.key == "adaptive-trisection:n=2:t=50"
+        sides = [RunConfig(policy="grs", n=2, horizon=50, replications=1, generator=g)
+                 for g in ("lower_bound_p0", "lower_bound_p1")]
+        assert [c.key for c in sides] == ["grs:n=2:t=50:g=lower_bound_p0",
+                                          "grs:n=2:t=50:g=lower_bound_p1"]
+        payload = json.loads(summaries_to_json([run_batch(c) for c in sides]))
+        assert list(payload) == [c.key for c in sides]
 
     def test_episode_is_one_replication(self):
         config = RunConfig(

@@ -37,18 +37,20 @@ def ucb_index(policy):
 
 def drive(policy, instance, periods, seed=0):
     """Run a policy against an instance, returning the assortment sequence.
-    Each distinct assortment is prepared once; a draw takes one uniform
-    either way, so the purchases are those of ``sample_purchase``."""
+    Each distinct offer's tuple and ``PreparedOffer`` are built once; a draw
+    takes one uniform either way, so the purchases are those of
+    ``sample_purchase``."""
     rng = np.random.default_rng(seed)
     offered = []
-    prepared = {}
+    prepared = {}  # offer (a size or a tuple) -> (tuple, PreparedOffer)
     for _ in range(periods):
-        assortment = policy.next_assortment()
-        offered.append(assortment)
-        offer = prepared.get(assortment)
-        if offer is None:
-            offer = prepared[assortment] = PreparedOffer(instance, assortment)
-        policy.observe(offer.sample(rng))
+        offer = policy.next_offer()
+        entry = prepared.get(offer)
+        if entry is None:
+            assortment = policy._levels.prefix(offer) if isinstance(offer, int) else offer
+            entry = prepared[offer] = (assortment, PreparedOffer(instance, assortment))
+        offered.append(entry[0])
+        policy.observe(entry[1].sample(rng))
     return offered
 
 
