@@ -2,15 +2,14 @@
 
 Subcommands:
   run      one episode, per-period CSV
-  bench    a grid of (policy, N, T, generator) cells, JSON + CSV summaries;
-           the built-in ``table2`` and ``hardpair`` grids
-  scaling  mean regret across horizons with a fitted log-log exponent
+  bench    a grid of (policy, N, T, generator) cells, JSON + CSV summaries,
+           and the fitted log-log regret exponent of every T-series; the
+           built-in ``table2`` and ``hardpair`` grids
   verify   randomized property suites over the library's invariants
 
-``run``, ``bench`` and ``scaling`` describe their work as ``RunConfig``s,
-which check themselves, and create ``--out`` where they write one, before
-any episode runs; ``bench`` and ``scaling`` run their cells through one
-loop, ``_run_cells``, on one worker pool.
+``run`` and ``bench`` describe their work as ``RunConfig``s, which check
+themselves, and create ``--out`` where they write one, before any episode
+runs; ``bench`` runs its cells on one worker pool.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 verification failure.
 """
@@ -103,19 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="assortbench", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--policy", choices=POLICY_NAMES, default="adaptive-trisection")
-        p.add_argument("--n", type=int, default=100, help="number of items")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument(
-            "--ci-scale",
-            type=float,
-            default=None,
-            help="adaptive confidence-interval scale (2 theoretical, 0.1 tuned)",
-        )
-
     p_run = sub.add_parser("run", help="run one episode and write its CSV log")
-    common(p_run)
+    p_run.add_argument("--policy", choices=POLICY_NAMES, default="adaptive-trisection")
+    p_run.add_argument("--n", type=int, default=100, help="number of items")
+    p_run.add_argument("--seed", type=int, default=0, help="master seed")
+    p_run.add_argument(
+        "--ci-scale",
+        type=float,
+        default=None,
+        help="adaptive confidence-interval scale (2 theoretical, 0.1 tuned)",
+    )
     p_run.add_argument("--out", type=Path, default=None, help="output directory")
     p_run.add_argument("--t", type=int, default=1000, help="horizon")
     p_run.add_argument("--generator", choices=GENERATOR_NAMES, default="synthetic")
@@ -133,13 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=_count, default=None, help="override replications")
     p_bench.add_argument("--seed", type=int, default=None, help="override master seed")
 
-    p_scale = sub.add_parser("scaling", help="regret scaling across horizons")
-    common(p_scale)
-    p_scale.add_argument("--out", type=Path, default=None, help="output directory")
-    p_scale.add_argument("--t", default="1000,4000,16000", help="comma-separated horizons")
-    p_scale.add_argument("--reps", type=_count, default=20)
-    p_scale.add_argument("--parallel", type=_count, default=1)
-
     p_verify = sub.add_parser("verify", help="randomized property suites")
     p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--instances", type=_count, default=500)
@@ -153,15 +142,11 @@ def _out_dir(arg) -> Path:
     return path
 
 
-def _policy_params(args) -> dict:
-    """``--ci-scale`` as a param; a RunConfig rejects it on a policy without it."""
-    return {} if args.ci_scale is None else {"ci_scale": args.ci_scale}
-
-
 def _cmd_run(args) -> int:
     if args.assortment is not None and args.policy != "static":
         raise ValueError("--assortment only applies to static")
-    params = _policy_params(args)
+    # A RunConfig rejects --ci-scale on a policy without it.
+    params = {} if args.ci_scale is None else {"ci_scale": args.ci_scale}
     if args.policy == "static":
         params["assortment"] = args.assortment or ()
     config = RunConfig(
@@ -175,7 +160,10 @@ def _cmd_run(args) -> int:
     if args.policy == "static" and args.assortment is None:
         best, _ = core.oracle_optimal(config.build_instance())
         config = dataclasses.replace(config, policy_params={**params, "assortment": best})
-    out = _out_dir(args.out) / f"episode_{args.policy}_n{args.n}_t{args.t}.csv"
+    name = f"episode_{args.policy}_n{args.n}_t{args.t}"
+    if args.generator != "synthetic":  # the hard pair's two sides get two files
+        name += f"_{args.generator}"
+    out = _out_dir(args.out) / f"{name}.csv"
     log = config.episode()
     write_episode_csv(log, out)
     print(f"cumulative regret {log.cumulative_regret:.4f} -> {out}")
@@ -218,6 +206,8 @@ def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
     first_with_key: dict = {}  # key -> the first cell with it
     for k, cell in enumerate(cells):
         try:
+            if not isinstance(cell, dict):
+                raise ValueError("a cell must be a JSON object")
             _check_keys(cell, ("policy", "n", "t", "generator", "params"), "a cell")
             rc = RunConfig(
                 policy=cell["policy"],
@@ -273,25 +263,19 @@ def _cmd_bench(args) -> int:
                 f"{rc.policy},{rc.n},{rc.horizon},{rc.generator},{rc.replications},"
                 f"{s.mean_regret!r},{s.max_regret!r},{s.std_regret!r}\n"
             )
+    # A T-series is two or more cells equal in all but T: one exponent line
+    # each, fitted in T order, in the order the series first appear.
+    series: dict = {}  # (key without ":t=…", params) -> (T, mean regret) rows
+    for s in summaries:
+        rc = s.config
+        label = rc.key.replace(f":t={rc.horizon}", "")
+        params = json.dumps(rc.policy_params, sort_keys=True)
+        series.setdefault((label, params), []).append((rc.horizon, s.mean_regret))
+    for (label, _), rows in series.items():
+        if len(rows) > 1:
+            alpha = fitted_exponent(sorted(rows))
+            print(f"{label}  fitted exponent", "undefined" if alpha is None else f"{alpha:.3f}")
     print(f"wrote {out / 'bench_summaries.json'}")
-    return 0
-
-
-def _cmd_scaling(args) -> int:
-    horizons = [int(tok) for tok in str(args.t).split(",")]
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ValueError("horizons must be strictly increasing")
-    params = _policy_params(args)
-    cells = [{"policy": args.policy, "n": args.n, "t": t, "params": params} for t in horizons]
-    configs = _bench_cells({"cells": cells}, args.seed, args.reps)
-    out = _out_dir(args.out) / f"scaling_{args.policy}_n{args.n}.csv"
-    rows = [(s.config.horizon, s.mean_regret) for s in _run_cells(configs, args.parallel)]
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("t,mean_regret\n")
-        for t, mean in rows:
-            fh.write(f"{t},{mean!r}\n")
-    alpha = fitted_exponent(rows)
-    print("fitted exponent:", "undefined" if alpha is None else f"{alpha:.3f}")
     return 0
 
 
@@ -310,7 +294,6 @@ def main(argv=None) -> int:
     handlers = {
         "run": _cmd_run,
         "bench": _cmd_bench,
-        "scaling": _cmd_scaling,
         "verify": _cmd_verify,
     }
     try:

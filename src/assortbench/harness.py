@@ -142,6 +142,8 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.policy_params, dict):
+            raise ValueError(f"policy_params must be a dict, got {self.policy_params!r}")
         if min(self.n, self.horizon, self.replications) < 1:
             raise ValueError("n, horizon, and replications must all be >= 1")
         if self.generator not in GENERATOR_NAMES:

@@ -33,6 +33,18 @@ class TestRun:
         assert len(rows) == 10
         assert all(float(row.split(",")[3]) == 0.0 for row in rows)
 
+    def test_csv_name_holds_the_generator_off_the_synthetic_family(self, tmp_path, capsys):
+        # The hard pair's two sides write two files; a synthetic run's name
+        # has no generator part.
+        args = ["run", "--policy", "grs", "--n", "2", "--t", "50", "--out", str(tmp_path)]
+        for generator in ("lower_bound_p0", "lower_bound_p1", "synthetic"):
+            assert run_cli([*args, "--generator", generator]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "episode_grs_n2_t50.csv",
+            "episode_grs_n2_t50_lower_bound_p0.csv",
+            "episode_grs_n2_t50_lower_bound_p1.csv",
+        ]
+
     def test_run_adaptive(self, tmp_path):
         code = run_cli(
             [
@@ -78,10 +90,9 @@ class TestRun:
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["scaling", "--reps", "0"], "--reps"),
+        (["bench", "--config", "table2", "--reps", "0"], "--reps"),
         (["verify", "--instances", "-5"], "--instances"),
         (["bench", "--config", "table2", "--parallel", "0"], "--parallel"),
-        (["scaling", "--parallel", "-2"], "--parallel"),
     ],
 )
 def test_count_flags_reject_values_below_one(argv, flag, capsys):
@@ -193,6 +204,12 @@ class TestBench:
             ({"policy": "ucb", "n": 10, "t": 50, "parms": {"ci_scale": 0.1}}, "unknown key 'parms'"),
             ({"policy": "static", "n": 10, "t": 60},
              "static policy requires an 'assortment' parameter"),
+            ("policy", "a cell must be a JSON object"),
+            (["policy", "n"], "a cell must be a JSON object"),
+            ({"policy": "grs", "n": 10, "t": 60, "params": [1]}, "policy_params must be a dict"),
+            ({"policy": "grs", "n": 10, "t": 60, "params": "x"}, "policy_params must be a dict"),
+            ({"policy": "grs", "n": 10, "t": 60, "params": None},
+             "policy_params must be a dict, got None"),
         ],
     )
     def test_bad_cell_fails_before_any_cell_runs(self, tmp_path, tiny_config, capsys, bad_cell, named):
@@ -292,6 +309,53 @@ class TestBench:
             ["adaptive-trisection", "2", "200", "lower_bound_p0", "2"],
         ]
 
+    def test_exponent_line_per_t_series(self, tmp_path, capsys):
+        # Cells listed out of T order; a ucb cell alone at its (policy, N);
+        # two adaptive series that differ only in params; a static series
+        # at the optimum, whose zero regret has no fit.
+        cells = [
+            {"policy": "grs", "n": 20, "t": 400},
+            {"policy": "ucb", "n": 20, "t": 100},
+            {"policy": "grs", "n": 20, "t": 100},
+            {"policy": "adaptive-trisection", "n": 10, "t": 100, "params": {"ci_scale": 2.0}},
+            {"policy": "adaptive-trisection", "n": 10, "t": 300, "params": {"ci_scale": 0.1}},
+            {"policy": "adaptive-trisection", "n": 10, "t": 200, "params": {"ci_scale": 2.0}},
+            {"policy": "adaptive-trisection", "n": 10, "t": 400, "params": {"ci_scale": 0.1}},
+            {"policy": "static", "n": 1, "t": 10, "params": {"assortment": [1]}},
+            {"policy": "static", "n": 1, "t": 20, "params": {"assortment": [1]}},
+        ]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"master_seed": 3, "replications": 2, "cells": cells}))
+        out = tmp_path / "out"
+        assert run_cli(["bench", "--config", str(path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(cells) + 5
+        payload = json.loads((out / "bench_summaries.json").read_text())
+        mean = {(v["policy"], v["t"]): v["mean_regret"] for v in payload.values()}
+
+        def fit(policy, *horizons):
+            alpha = harness.fitted_exponent([(t, mean[policy, t]) for t in horizons])
+            return f"{alpha:.3f}"
+
+        assert lines[len(cells):] == [
+            f"grs:n=20  fitted exponent {fit('grs', 100, 400)}",
+            f"adaptive-trisection:n=10  fitted exponent {fit('adaptive-trisection', 100, 200)}",
+            f"adaptive-trisection:n=10  fitted exponent {fit('adaptive-trisection', 300, 400)}",
+            "static:n=1  fitted exponent undefined",
+            f"wrote {out / 'bench_summaries.json'}",
+        ]
+        assert mean["static", 10] == mean["static", 20] == 0.0
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_csv_bytes_are_pinned(self, tmp_path, workers):
+        path = tmp_path / "cfg.json"
+        cells = [{"policy": "grs", "n": 10, "t": t} for t in (50, 100, 200)]
+        path.write_text(json.dumps({"master_seed": 5, "replications": 3, "cells": cells}))
+        args = ["bench", "--config", str(path), "--parallel", workers, "--out", str(tmp_path)]
+        assert run_cli(args) == 0
+        digest = hashlib.sha256((tmp_path / "bench_summaries.csv").read_bytes()).hexdigest()
+        assert digest == "b8d31614958136560d02859d6a659123b6904e993a9acf81385a93b1384acde4"
+
     def test_missing_config_exits_one(self, tmp_path):
         assert run_cli(["bench", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -340,7 +404,6 @@ class TestBench:
     "argv",
     [
         ["bench", "--config", "CFG"],
-        ["scaling", "--policy", "grs", "--n", "10", "--t", "50,100", "--reps", "2"],
         ["run", "--policy", "grs", "--n", "10", "--t", "50"],
     ],
 )
@@ -358,41 +421,6 @@ def test_unusable_out_fails_before_any_compute(tmp_path, capsys, monkeypatch, ar
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: [Errno 17] File exists")
     assert ran == []
-
-
-class TestScaling:
-    def test_scaling_writes_table(self, tmp_path, capsys):
-        code = run_cli(
-            ["scaling", "--policy", "grs", "--n", "20", "--t", "100,400",
-             "--reps", "2", "--seed", "3", "--out", str(tmp_path)]
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 3
-        assert lines[0].startswith("grs:n=20:t=100 ")
-        assert lines[1].startswith("grs:n=20:t=400 ")
-        assert float(lines[2].removeprefix("fitted exponent: ")) > 0
-        csv = (tmp_path / "scaling_grs_n20.csv").read_text().splitlines()
-        assert csv[0] == "t,mean_regret"
-        assert len(csv) == 3
-
-    @pytest.mark.parametrize("horizons", ["100,100", "400,100"])
-    def test_horizons_not_increasing_fail_before_any_cell(self, tmp_path, capsys, horizons):
-        out = tmp_path / "out"
-        args = ["scaling", "--policy", "grs", "--n", "10", "--t", horizons, "--out", str(out)]
-        assert run_cli(args) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == ["error: horizons must be strictly increasing"]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_csv_bytes_are_pinned(self, tmp_path, workers):
-        args = ["scaling", "--policy", "grs", "--n", "10", "--t", "50,100,200",
-                "--reps", "3", "--seed", "5", "--parallel", workers, "--out", str(tmp_path)]
-        assert run_cli(args) == 0
-        digest = hashlib.sha256((tmp_path / "scaling_grs_n10.csv").read_bytes()).hexdigest()
-        assert digest == "3174357edb59f593628c2e051f3cca0d5bbbf456daa81fab5b591ee54535f825"
 
 
 class TestVerify:
