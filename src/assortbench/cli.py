@@ -91,13 +91,6 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _seed(text: str) -> int:
-    """A seed flag's value: an integer >= 0."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="assortbench", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -130,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=None, help="override master seed")
 
     p_verify = sub.add_parser("verify", help="randomized property suites")
-    p_verify.add_argument("--seed", type=_seed, default=0)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--instances", type=_count, default=500)
 
     return parser

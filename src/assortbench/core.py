@@ -61,9 +61,6 @@ __all__ = [
 # Guard against 2^N blow-up in exhaustive subset enumeration.
 BRUTE_FORCE_MAX_ITEMS = 20
 
-# Absolute tolerance for merging equal-valued potential plateaus.
-_MERGE_TOL = 1e-12
-
 
 class InvalidAssortmentError(ValueError):
     """Assortment item ids are not integers, out of range, duplicated, or
@@ -164,12 +161,15 @@ class Instance:
 
 @dataclass(frozen=True)
 class PotentialProfile:
-    """Exact piecewise-constant representation of the revenue potential.
+    """The revenue potential as a step function, one step per distinct
+    revenue.
 
-    ``values[i]`` is the potential on the interval ending (inclusively) at
-    ``jump_points[i]``; ``values[-1]`` applies beyond the last jump point
-    and is always 0. Consecutive values differ, and ``f_star``, the maximum
-    value, is also the fixed point theta* = F(theta*).
+    ``jump_points`` are the distinct revenues, ascending. ``values[i]`` is
+    the potential on the interval ending (inclusively) at ``jump_points[i]``,
+    the value of that revenue's level set; ``values[-1]`` applies beyond the
+    last jump point and is 0. Adjacent values may be equal. ``f_star``, the
+    maximum value, is the fixed point theta* = F(theta*) and, bit for bit,
+    the optimum that ``oracle_optimal`` returns.
     """
 
     jump_points: tuple
@@ -459,30 +459,15 @@ class LevelSetOracle:
 
 
 def build_potential_profile(instance: Instance) -> PotentialProfile:
-    """Compute the exact piecewise-constant potential profile in O(N log N).
-
-    Adjacent intervals with equal values (within 1e-12) are merged so that
-    consecutive stored values always differ. The fixed point theta* equals
-    the maximum value f*.
-    """
+    """The potential profile in O(N log N): the level-set kernel's values
+    (``LevelSetOracle.ranked_values``), smallest threshold first, then 0."""
     levels = LevelSetOracle(instance.revenues)
-    # Raw interval values: c_0 on (-inf, s_1], c_i on (s_i, s_{i+1}], c_m = 0.
     ranked = levels.ranked_values(instance.utilities[levels.order])
-    raw_values = ranked[::-1].tolist() + [0.0]
-    jumps: list = []
-    values: list = [raw_values[0]]
-    for jump, value in zip(levels.thresholds.tolist(), raw_values[1:]):
-        if abs(value - values[-1]) > _MERGE_TOL:
-            jumps.append(jump)
-            values.append(value)
-    if abs(values[-1]) <= _MERGE_TOL:
-        values[-1] = 0.0
-
-    f_star = max(values)
+    values = (*ranked[::-1].tolist(), 0.0)
+    # The trailing 0.0 is seen first, so a zero optimum is the oracle's +0.0
+    # even where a revenue of -0.0 makes a level set worth -0.0.
     return PotentialProfile(
-        jump_points=tuple(jumps),
-        values=tuple(values),
-        f_star=f_star,
+        jump_points=tuple(levels.thresholds.tolist()), values=values, f_star=max(values[::-1])
     )
 
 

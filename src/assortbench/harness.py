@@ -20,6 +20,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import numbers
 from array import array
 from concurrent.futures import ProcessPoolExecutor
@@ -78,8 +79,8 @@ class EpisodeLog:
     offer is the policy's own, a level-set size of ``levels`` or a tuple.
     Per period, ``offer_index`` holds the position of its offer in
     ``offers`` and ``rewards`` the revenue of its sampled purchase. The
-    per-period lists ``steps``, ``assortments`` and ``realized_rewards``
-    are built from these on each read.
+    per-period lists ``steps`` and ``assortments`` are built from these on
+    each read.
     """
 
     policy_name: str
@@ -107,10 +108,6 @@ class EpisodeLog:
         prefix = self.levels.prefix
         offers = [o if isinstance(o, tuple) else prefix(o) for o, *_ in self.offers]
         return [offers[k] for k in self.offer_index]
-
-    @property
-    def realized_rewards(self) -> list:
-        return self.rewards.tolist()
 
     @property
     def cumulative_regret(self) -> float:
@@ -318,11 +315,19 @@ def run_batch(config: RunConfig, workers: int = 1, *, pool=None) -> AggregateSum
 def fitted_exponent(rows):
     """The log-log least-squares slope a of mean regret ~ c T^a over
     (T, mean_regret) rows, or None for fewer than two rows or any mean
-    regret <= 0 (the fit is undefined for an always-optimal policy)."""
-    means = np.array([m for _, m in rows])
-    if len(rows) < 2 or np.any(means <= 0.0):
+    regret <= 0 (the fit is undefined for an always-optimal policy).
+
+    The closed-form slope over centred logs, each sum a correctly rounded
+    ``math.fsum``, so its bits do not depend on the interpreter's builtin
+    ``sum``.
+    """
+    if len(rows) < 2 or any(m <= 0.0 for _, m in rows):
         return None
-    return float(np.polyfit(np.log([t for t, _ in rows]), np.log(means), 1)[0])
+    xs = [math.log(t) for t, _ in rows]
+    ys = [math.log(m) for _, m in rows]
+    x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - x_bar for x in xs]
+    return math.fsum(dx * (y - y_bar) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
 
 
 def write_episode_csv(log: EpisodeLog, path) -> None:

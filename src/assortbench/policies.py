@@ -415,7 +415,7 @@ def make_policy(name: str, revenues, horizon: int, *, rng=None, params=None) -> 
     Raises ValueError for an unknown name or a parameter value the policy
     rejects, and TypeError for a parameter the policy does not take.
     """
-    cls = _POLICY_CLASSES.get(name)
+    cls = _POLICY_CLASSES.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
     params = dict(params or {})

@@ -92,8 +92,9 @@ def coverage(rng) -> float:
 def failures(seed: int, instances: int) -> list:
     """The whole suite, as failure descriptions: ``instances`` random
     instances of 1..12 items, each from its own seed derived from ``seed``
-    and checked on a 1000-point grid, then the coverage and the KL bound at
-    T in {16, 100, 10,000}."""
+    and checked on a 1000-point grid, then the coverage, on a stream seeded
+    from ``seed`` as well, and the KL bound at T in {16, 100, 10,000}. Any
+    integer is a seed."""
     found = []
     grid = np.linspace(0.0, 1.0, 1000)
     for k in range(instances):
@@ -111,7 +112,7 @@ def failures(seed: int, instances: int) -> list:
             ("potential values not unimodal", is_unimodal(profile.values)),
         )
         found.extend(f"{name} (seed {inst_seed})" for name, held in checks if not held)
-    covered = coverage(np.random.default_rng(seed))
+    covered = coverage(np.random.default_rng(derive_seed(seed, "coverage")))
     if covered < MIN_COVERAGE:
         found.append(f"uniform concentration coverage {covered} < {MIN_COVERAGE}")
     for horizon, assortment in kl_violations((16, 100, 10_000)):

@@ -210,6 +210,7 @@ class TestBench:
             ({"policy": "grs", "n": 10, "t": 60, "params": "x"}, "policy_params must be a dict"),
             ({"policy": "grs", "n": 10, "t": 60, "params": None},
              "policy_params must be a dict, got None"),
+            ({"policy": ["ucb"], "n": 3, "t": 5}, "unknown policy ['ucb']; choose from ("),
         ],
     )
     def test_bad_cell_fails_before_any_cell_runs(self, tmp_path, tiny_config, capsys, bad_cell, named):
@@ -428,8 +429,12 @@ class TestVerify:
         assert run_cli(["verify", "--instances", "30", "--seed", "3"]) == 0
         assert "all properties passed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
-    def test_seed_must_be_nonnegative_before_any_check_runs(self, monkeypatch, seed, capsys):
+    def test_verify_takes_a_negative_seed(self, capsys):
+        assert run_cli(["verify", "--instances", "10", "--seed", "-1"]) == 0
+        assert capsys.readouterr().out == "all properties passed (10 instances)\n"
+
+    @pytest.mark.parametrize("seed", ["1.5", "x"])
+    def test_seed_must_be_an_integer_before_any_check_runs(self, monkeypatch, seed, capsys):
         def no_checks(*args):
             raise AssertionError("the property suite ran")
 
@@ -439,7 +444,7 @@ class TestVerify:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert lines[0].startswith("usage: assortbench verify")
-        assert lines[-1] == f"error: argument --seed: expected an integer >= 0, got {seed!r}"
+        assert lines[-1] == f"error: argument --seed: invalid int value: {seed!r}"
 
     def test_verify_fails_when_the_fixed_point_is_off(self, monkeypatch, capsys):
         build = core.build_potential_profile

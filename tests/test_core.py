@@ -400,13 +400,27 @@ class TestPotential:
         assert profile.values == pytest.approx((0.3, 0.0), abs=1e-15)
         assert profile.f_star == pytest.approx(0.3, abs=1e-15)
 
-    def test_equal_plateaus_merged(self):
-        # (r,v) = (1,1),(0.5,1): both level sets have value 0.5, so the
-        # plateau at 0.5 merges and only the final drop to 0 remains.
+    def test_equal_plateaus_kept(self):
+        # (r,v) = (1,1),(0.5,1): both level sets have value 0.5, and each
+        # distinct revenue keeps its own step.
         profile = build_potential_profile(Instance([1.0, 0.5], [1.0, 1.0]))
-        assert profile.jump_points == (1.0,)
-        assert profile.values == (0.5, 0.0)
+        assert profile.jump_points == (0.5, 1.0)
+        assert profile.values == (0.5, 0.5, 0.0)
         assert profile.f_star == 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(edgy_instances(20), quarter_grid_cases(20).map(lambda rv: Instance(*rv))))
+    # A step within 1e-12 of its neighbour, an optimum below 1e-12, and a
+    # level set worth -0.0.
+    @example(Instance([0.9, 0.4], [1.0, 1e-12]))
+    @example(Instance([1.0], [1e-14]))
+    @example(Instance([-0.0], [1.0]))
+    def test_profile_optimum_is_the_oracles_bit_for_bit(self, inst):
+        profile = build_potential_profile(inst)
+        assert repr(profile.f_star) == repr(oracle_optimal(inst)[1])
+        levels = LevelSetOracle(inst.revenues)
+        assert profile.jump_points == tuple(levels.thresholds.tolist())
+        assert len(profile.values) == len(profile.jump_points) + 1 and profile.values[-1] == 0.0
 
     def test_profile_matches_pointwise_potential(self):
         rng = np.random.default_rng(0)

@@ -97,7 +97,7 @@ def digests(policy: str, n: int) -> tuple:
     instance = generate_synthetic(n, seed=SEED)
     log = run_episode(instance, policy, HORIZON, SEED, policy_params=_params(policy, n))
     regrets = [step[3] for step in log.steps]
-    return _sha(log.assortments), _sha(regrets), _sha(log.realized_rewards)
+    return _sha(log.assortments), _sha(regrets), _sha(log.rewards.tolist())
 
 
 @pytest.mark.parametrize("n", SIZES)

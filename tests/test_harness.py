@@ -98,7 +98,7 @@ class TestRunEpisode:
         a = run_episode(inst, "thompson", 300, 9)
         b = run_episode(inst, "thompson", 300, 9)
         assert a.assortments == b.assortments
-        assert a.realized_rewards == b.realized_rewards
+        assert a.rewards.tolist() == b.rewards.tolist()
 
     def test_block_uniforms_equal_one_draw_per_period(self):
         # Two block boundaries and a partial last block.
@@ -109,7 +109,7 @@ class TestRunEpisode:
         log = run_episode(inst, "static", horizon, 5, policy_params={"assortment": offer})
         rng = np.random.default_rng(derive_seed(5, "customer"))
         rewards = [sample_purchase(inst, offer, rng).revenue for _ in range(horizon)]
-        assert log.realized_rewards == rewards
+        assert log.rewards.tolist() == rewards
         regret = optimal_value - expected_revenue(inst, offer)
         assert [s[3] for s in log.steps] == [regret] * horizon
 
@@ -351,7 +351,7 @@ class TestRunBatch:
         log = config.episode(2)
         seed = derive_seed(4, "replication", 2)
         direct = run_episode(config.build_instance(2), "thompson", 80, seed)
-        assert log.steps == direct.steps and log.realized_rewards == direct.realized_rewards
+        assert log.steps == direct.steps and log.rewards.tolist() == direct.rewards.tolist()
         assert run_batch(config).regrets[2] == log.cumulative_regret
 
     def test_one_worker_maps_in_process(self):
