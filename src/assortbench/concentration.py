@@ -76,6 +76,8 @@ def validate_uniform_concentration(
         raise ValueError("trials must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if not delta > 0.0:  # also rejects NaN
+        raise ValueError("delta must be positive")
     draws = (rng.random((trials, depth)) < p).astype(float)
     running_means = np.cumsum(draws, axis=1) / np.arange(1, depth + 1, dtype=float)
     radii = np.array([_adaptive_radius(t, delta, 2.0) for t in range(1, depth + 1)])

@@ -1,7 +1,9 @@
 """Episode runner and replication harness.
 
 An episode drives one policy against one instance for exactly T periods
-and records the expected per-period regret against the optimal assortment.
+and records the expected per-period regret against the optimal assortment;
+its customers are an ``itertools.chain`` of uniform blocks, and a
+``functools.lru_cache`` keeps its two most recent offers prepared.
 A ``RunConfig`` is one checked cell drawing from one of ``GENERATOR_NAMES``:
 the synthetic family, seeded from the master seed, or one side of the hard
 lower-bound pair; its ``episode(k)`` is replication k, its ``key`` its name
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -200,16 +204,6 @@ class AggregateSummary:
         }
 
 
-def _block_uniforms(rng, count: int):
-    """The next ``count`` doubles of ``rng.random()``, drawn ``UNIFORM_BLOCK``
-    at a time. numpy's ``Generator`` yields the same doubles in blocks as
-    one at a time, so the stream is unchanged while memory stays bounded."""
-    while count > 0:
-        k = min(count, UNIFORM_BLOCK)
-        yield from rng.random(k).tolist()
-        count -= k
-
-
 def run_episode(
     instance: Instance,
     policy_name: str,
@@ -222,19 +216,24 @@ def run_episode(
 
     Customer purchases and policy-internal randomness use independent
     streams derived from ``seed``; the customer stream serves only the
-    purchases, one uniform each, and is drawn in blocks of ``UNIFORM_BLOCK``.
-    Regret per period is the gap in expected revenue against the optimal
-    assortment under the true instance.
+    purchases, one uniform each, from an ``itertools.chain`` over blocks of
+    ``UNIFORM_BLOCK`` draws. Regret per period is the gap in expected
+    revenue against the optimal assortment under the true instance.
 
     One ``LevelSetOracle`` serves the episode: the policy reads its level
     sets off it and the optimal value is its best prefix. An offer must be
     a size, prepared from the oracle's sort, or a tuple; each distinct one
-    is valued once and found again by value. Only the last two offers
-    prepared are kept (a level-set policy alternates two), so a repeated
-    offer costs O(log |S|) a period; each item's ``PurchaseOutcome`` is built once.
+    is valued once and found again by value. The two offers used most
+    recently stay prepared in a ``functools.lru_cache`` (a level-set policy
+    alternates two), so a repeated offer costs O(log |S|) a period; each
+    item's ``PurchaseOutcome`` is built once.
     """
     customer_rng = np.random.default_rng(derive_seed(seed, "customer"))
-    customers = SimpleNamespace(random=_block_uniforms(customer_rng, horizon).__next__)
+    uniforms = itertools.chain.from_iterable(
+        customer_rng.random(min(UNIFORM_BLOCK, horizon - s)).tolist()
+        for s in range(0, horizon, UNIFORM_BLOCK)
+    )
+    customers = SimpleNamespace(random=uniforms.__next__)
     policy_rng = np.random.default_rng(derive_seed(seed, "policy"))
     levels = LevelSetOracle(instance.revenues)
     policy = make_policy(policy_name, levels, horizon, rng=policy_rng, params=policy_params)
@@ -246,8 +245,19 @@ def run_episode(
     n = instance.n
     outcomes: dict = {}  # shared by the episode's offers
     positions: dict = {}  # offer -> its index in offers
-    recent: dict = {}  # index -> PreparedOffer, for the last two offers prepared
-    last = None
+
+    @functools.lru_cache(maxsize=2)
+    def prepare(offer):
+        items = offer if isinstance(offer, tuple) else levels.prefix_items(offer)
+        prepared = PreparedOffer(instance, items, outcomes)
+        index = positions.get(offer)
+        if index is None:
+            value = expected_revenue(instance, prepared)
+            index = positions[offer] = len(offers)
+            offers.append((offer, len(items), value, optimal_value - value))
+        return prepared, index
+
+    last = object()  # no policy's offer, so the first period always prepares
     for _ in range(horizon):
         offer = policy.next_offer()
         if offer is not last:
@@ -257,18 +267,7 @@ def run_episode(
                     f"policy {policy_name!r} ({type(policy).__name__}) offered a "
                     f"{type(offer).__name__}; offers must be sizes in [0, {n}] or tuples"
                 )
-            index = positions.get(offer)
-            prepared = recent.get(index)
-            if prepared is None:
-                items = offer if isinstance(offer, tuple) else levels.prefix_items(offer)
-                prepared = PreparedOffer(instance, items, outcomes)
-                if index is None:
-                    value = expected_revenue(instance, prepared)
-                    index = positions[offer] = len(offers)
-                    offers.append((offer, len(items), value, optimal_value - value))
-                if len(recent) == 2:
-                    del recent[next(iter(recent))]
-                recent[index] = prepared
+            prepared, index = prepare(offer)
         outcome = sample_purchase(instance, prepared, customers)
         policy.observe(outcome)
         add_index(index)
@@ -314,14 +313,14 @@ def run_batch(config: RunConfig, workers: int = 1, *, pool=None) -> AggregateSum
 
 def fitted_exponent(rows):
     """The log-log least-squares slope a of mean regret ~ c T^a over
-    (T, mean_regret) rows, or None for fewer than two rows or any mean
-    regret <= 0 (the fit is undefined for an always-optimal policy).
+    (T, mean_regret) rows, or None where the fit is undefined: fewer than
+    two distinct T, or any mean regret <= 0 (an always-optimal policy).
 
     The closed-form slope over centred logs, each sum a correctly rounded
     ``math.fsum``, so its bits do not depend on the interpreter's builtin
     ``sum``.
     """
-    if len(rows) < 2 or any(m <= 0.0 for _, m in rows):
+    if len({t for t, _ in rows}) < 2 or any(m <= 0.0 for _, m in rows):
         return None
     xs = [math.log(t) for t, _ in rows]
     ys = [math.log(m) for _, m in rows]

@@ -100,8 +100,17 @@ class TestUniformConcentration:
         assert cov >= 0.99
 
     @pytest.mark.parametrize(
-        "p, depth, trials", [(1.5, 10, 10), (-0.1, 10, 10), (0.5, 0, 10), (0.5, 10, 0)]
+        "p, depth, delta, trials",
+        [
+            (1.5, 10, 0.01, 10),
+            (-0.1, 10, 0.01, 10),
+            (0.5, 0, 0.01, 10),
+            (0.5, 10, 0.01, 0),
+            (0.5, 10, 0.0, 10),
+            (0.5, 10, -1.0, 10),
+            (0.5, 10, math.nan, 10),
+        ],
     )
-    def test_bad_arguments_rejected(self, p, depth, trials):
+    def test_bad_arguments_rejected(self, p, depth, delta, trials):
         with pytest.raises(ValueError):
-            validate_uniform_concentration(p, depth, 0.01, trials, np.random.default_rng(3))
+            validate_uniform_concentration(p, depth, delta, trials, np.random.default_rng(3))

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import tracemalloc
 import weakref
@@ -171,7 +172,7 @@ class TestRunEpisode:
         with pytest.raises(TypeError, match=r"Aliasing\) offered a list"):
             harness.run_episode(inst, "static", 4, seed=1)
 
-    @pytest.mark.parametrize("offer", [True, -1, 11, np.int64(2), 2.0])
+    @pytest.mark.parametrize("offer", [True, -1, 11, np.int64(2), 2.0, None])
     def test_sizes_must_be_ints_within_the_items(self, monkeypatch, offer):
         class Constant:
             def __init__(self, *args, **kwargs):
@@ -185,6 +186,35 @@ class TestRunEpisode:
         name = type(offer).__name__
         with pytest.raises(TypeError, match=rf"Constant\) offered a {name}; .* \[0, 10\]"):
             harness.run_episode(inst, "static", 4, seed=1)
+
+    @pytest.mark.parametrize(
+        "sequence, horizon, prepared", [((3, 7), 100, 2), ((3, 7, 3, 5, 3), 5, 3)]
+    )
+    def test_two_most_recent_offers_stay_prepared(self, monkeypatch, sequence, horizon, prepared):
+        # A returning offer is prepared again only once two other offers
+        # have been used since it was last offered.
+        class Cycle:
+            def __init__(self, *args, **kwargs):
+                self._offers = itertools.cycle(sequence)
+
+            def next_offer(self):
+                return next(self._offers)
+
+            def observe(self, outcome):
+                pass
+
+        built = []
+        prepared_offer = harness.PreparedOffer
+
+        def counting_prepared_offer(*args):
+            built.append(args[1])
+            return prepared_offer(*args)
+
+        monkeypatch.setattr(harness, "make_policy", Cycle)
+        monkeypatch.setattr(harness, "PreparedOffer", counting_prepared_offer)
+        log = harness.run_episode(generate_synthetic(10, seed=1), "cycle", horizon, seed=1)
+        assert len(built) == prepared
+        assert [offer for offer, *_ in log.offers] == list(dict.fromkeys(sequence))
 
     def test_each_item_has_one_outcome(self, monkeypatch):
         outcomes = []
@@ -375,6 +405,7 @@ class TestFittedExponent:
 
     def test_fit_needs_two_positive_rows(self):
         assert fitted_exponent([(100, 4.0)]) is None
+        assert fitted_exponent([(100, 1.0), (100, 2.0)]) is None  # one T
         assert fitted_exponent([(100, 4.0), (400, -1.0)]) is None
         assert fitted_exponent([(100, 4.0), (400, 8.0)]) == pytest.approx(0.5)
 
