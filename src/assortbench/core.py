@@ -19,7 +19,9 @@ are then not guaranteed to be one object. A level-set oracle is immutable.
 A ``PreparedOffer`` is the one MNL purchase distribution: the functions
 over assortments delegate to it. Its draw is one uniform and a bisection
 over memoryviews, creating no numpy scalar, and it builds each item's
-``PurchaseOutcome`` on the item's first purchase only. A ``LevelSetOracle``
+``PurchaseOutcome`` on the item's first purchase only; a run of draws on
+one offer is decided in one numpy pass with the same comparisons
+(``purchase_revenues``). A ``LevelSetOracle``
 sorts a revenue vector once; every level set is a prefix of that order, so
 its size names it, and a level-set optimization is one pass over the
 prefixes, taking utilities in revenue rank order. ``best_prefix`` is the
@@ -208,7 +210,10 @@ class PreparedOffer:
     Validates the assortment once and holds the 0-based item indices and
     the cumulative utilities in item order, so each draw costs one uniform
     and a binary search. The search and the item lookup read memoryviews
-    of these arrays, so a draw creates Python ints and floats only.
+    of these arrays, so a draw creates Python ints and floats only. A run
+    of k draws whose outcomes are read only as revenues costs one
+    ``purchase_revenues`` call: a handful of numpy passes over k uniforms
+    instead of k Python-level draws.
 
     ``outcomes`` maps a 0-based item index to that item's
     ``PurchaseOutcome``, built on its first purchase and returned for every
@@ -268,6 +273,24 @@ class PreparedOffer:
         if outcome is None:
             outcome = self._outcomes[i] = PurchaseOutcome(i + 1, self._revenues[i])
         return outcome
+
+    def purchase_revenues(self, uniforms: np.ndarray) -> np.ndarray:
+        """The revenue of the purchase each of ``uniforms`` decides: a new
+        float array, 0.0 where there is no purchase.
+
+        Entry j is the revenue of ``sample`` fed ``uniforms[j]``, bit for
+        bit: the same products u (1 + sum v) and differences with 1, and
+        ``searchsorted(side="right")`` makes the comparisons of
+        ``bisect_right``, clipped to the last item as ``sample`` clips.
+        """
+        scaled = uniforms * self._scale
+        if self._last < 0:  # the empty offer: never a purchase
+            return np.zeros(scaled.shape)
+        pos = self.cum_utilities.searchsorted(scaled - 1.0, side="right")
+        np.minimum(pos, self._last, out=pos)
+        revenues = self.instance.revenues[self.indices[pos]]
+        revenues[scaled < 1.0] = 0.0
+        return revenues
 
 
 def _prepared(instance: Instance, assortment) -> PreparedOffer:

@@ -2,8 +2,9 @@
 
 An episode drives one policy against one instance for exactly T periods
 and records the expected per-period regret against the optimal assortment;
-its customers are an ``itertools.chain`` of uniform blocks, and a
-``functools.lru_cache`` keeps its two most recent offers prepared.
+its customers are blocks of uniforms, a run of periods on one offer is
+drawn from its block in one numpy pass, and a ``functools.lru_cache``
+keeps the episode's two most recent offers prepared.
 A ``RunConfig`` is one checked cell drawing from one of ``GENERATOR_NAMES``:
 the synthetic family, seeded from the master seed, or one side of the hard
 lower-bound pair; its ``episode(k)`` is replication k, its ``key`` its name
@@ -22,13 +23,13 @@ import contextlib
 import csv
 import functools
 import hashlib
-import itertools
 import json
 import math
 import numbers
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,8 +54,14 @@ __all__ = [
 ]
 
 
-# Customer uniforms drawn per block: bounded memory at any horizon.
+# Customer uniforms drawn per block: bounded memory at any horizon. A run
+# of periods is drawn at most a block at a time.
 UNIFORM_BLOCK = 4096
+# The fewest periods of a run drawn in one numpy pass. A pass costs about
+# as much as 8 periods served one at a time (8-9 us against 1.0-1.1 us a
+# period, N = 20 to 1000, 2 vCPUs), so shorter runs are served a period at
+# a time.
+RUN_MIN = 8
 
 # A RunConfig's instance families, name -> (n, horizon, seed) -> Instance. The
 # builders find generate_synthetic in this module, where perfbench wraps it.
@@ -212,13 +219,22 @@ def run_episode(
     *,
     policy_params=None,
 ) -> EpisodeLog:
-    """Drive the next/observe loop for exactly ``horizon`` periods.
+    """Drive the policy for exactly ``horizon`` periods.
 
     Customer purchases and policy-internal randomness use independent
-    streams derived from ``seed``; the customer stream serves only the
-    purchases, one uniform each, from an ``itertools.chain`` over blocks of
-    ``UNIFORM_BLOCK`` draws. Regret per period is the gap in expected
-    revenue against the optimal assortment under the true instance.
+    streams derived from ``seed``; the customer stream serves the
+    purchases one uniform each, in blocks of ``UNIFORM_BLOCK`` draws.
+    Regret per period is the gap in expected revenue against the optimal
+    assortment under the true instance.
+
+    A policy is served a period at a time through ``next_offer`` and
+    ``observe``, unless it holds runs (``Policy.holds_runs``): then each
+    ``next_run`` step takes all the periods its run still holds within the
+    block, decides them from the block's next uniforms with one
+    ``PreparedOffer.purchase_revenues`` pass, logs them in bulk and hands
+    their revenues to ``observe_run``. A step of one period is served as
+    any period is, so the offers, rewards and regrets are those of
+    period-by-period serving, bit for bit.
 
     One ``LevelSetOracle`` serves the episode: the policy reads its level
     sets off it and the optimal value is its best prefix. An offer must be
@@ -229,11 +245,7 @@ def run_episode(
     item's ``PurchaseOutcome`` is built once.
     """
     customer_rng = np.random.default_rng(derive_seed(seed, "customer"))
-    uniforms = itertools.chain.from_iterable(
-        customer_rng.random(min(UNIFORM_BLOCK, horizon - s)).tolist()
-        for s in range(0, horizon, UNIFORM_BLOCK)
-    )
-    customers = SimpleNamespace(random=uniforms.__next__)
+    customers = SimpleNamespace()
     policy_rng = np.random.default_rng(derive_seed(seed, "policy"))
     levels = LevelSetOracle(instance.revenues)
     policy = make_policy(policy_name, levels, horizon, rng=policy_rng, params=policy_params)
@@ -257,21 +269,50 @@ def run_episode(
             offers.append((offer, len(items), value, optimal_value - value))
         return prepared, index
 
+    def take(offer):
+        if not (type(offer) is int and 0 <= offer <= n or isinstance(offer, tuple)):
+            raise TypeError(
+                f"policy {policy_name!r} ({type(policy).__name__}) offered a "
+                f"{type(offer).__name__}; offers must be sizes in [0, {n}] or tuples"
+            )
+        return prepare(offer)
+
+    next_run = policy.next_run if getattr(policy, "holds_runs", False) else None
     last = object()  # no policy's offer, so the first period always prepares
-    for _ in range(horizon):
-        offer = policy.next_offer()
-        if offer is not last:
-            last = offer
-            if not (type(offer) is int and 0 <= offer <= n or isinstance(offer, tuple)):
-                raise TypeError(
-                    f"policy {policy_name!r} ({type(policy).__name__}) offered a "
-                    f"{type(offer).__name__}; offers must be sizes in [0, {n}] or tuples"
-                )
-            prepared, index = prepare(offer)
-        outcome = sample_purchase(instance, prepared, customers)
-        policy.observe(outcome)
-        add_index(index)
-        add_reward(outcome.revenue)
+    for start in range(0, horizon, UNIFORM_BLOCK):
+        block = customer_rng.random(min(UNIFORM_BLOCK, horizon - start))
+        uniforms = block.tolist()
+        customer_stream = iter(uniforms)
+        customers.random = customer_stream.__next__
+        if next_run is None:
+            for _ in uniforms:
+                offer = policy.next_offer()
+                if offer is not last:
+                    last = offer
+                    prepared, index = take(offer)
+                outcome = sample_purchase(instance, prepared, customers)
+                policy.observe(outcome)
+                add_index(index)
+                add_reward(outcome.revenue)
+            continue
+        p, size = 0, block.size
+        while p < size:
+            offer, k = next_run(size - p, RUN_MIN)
+            if offer is not last:
+                last = offer
+                prepared, index = take(offer)
+            if k == 1:
+                outcome = sample_purchase(instance, prepared, customers)
+                policy.observe(outcome)
+                add_index(index)
+                add_reward(outcome.revenue)
+            else:
+                revenues = prepared.purchase_revenues(block[p : p + k])
+                policy.observe_run(revenues)
+                log.offer_index.extend(array("q", (index,)) * k)
+                log.rewards.frombytes(revenues.tobytes())
+                next(islice(customer_stream, k, k), None)  # skip the run's uniforms
+            p += k
     return log
 
 

@@ -7,6 +7,13 @@ offers. An offer is a level-set size of the policy's ``LevelSetOracle``
 (every policy here but ``static``) or a tuple of item ids;
 ``next_assortment()`` returns either as a tuple of item ids.
 
+A policy may hold an offer for a ``Run`` of periods whose outcomes it reads
+only as their summed revenue: trisection's exploitation once its interval
+excludes the probe level, each golden-section probe and the final
+incumbent, and the static offer. ``next_run``/``observe_run`` hand over
+and observe such periods at once; ``next_offer``/``observe`` serve them one
+period at a time, with the same offers and the same sum.
+
 Included: the trisection policy and its adaptive-confidence variant,
 epoch-based UCB and Thompson-sampling baselines, golden-ratio search over
 revenue levels, and a static reference policy.
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +33,7 @@ from .core import oracle_optimal  # noqa: F401  (perfbench's tracer wraps it by 
 
 __all__ = [
     "Policy",
+    "Run",
     "PolicyProtocolError",
     "HorizonExhaustedError",
     "TrisectionPolicy",
@@ -48,6 +57,22 @@ class HorizonExhaustedError(RuntimeError):
     """The policy already emitted all T offers."""
 
 
+@dataclass(frozen=True)
+class Run:
+    """One offer held for ``periods`` periods (at least 1) whose outcomes
+    the policy does not read one by one. The decision generator that yields
+    it is resumed once, after the last of them, with their summed revenue
+    as a left fold from 0.0 (the bits of ``total += outcome.revenue``), or
+    not at all if the horizon ends first."""
+
+    offer: object
+    periods: int
+
+    def __post_init__(self):
+        if not self.periods >= 1:
+            raise ValueError(f"a run holds at least one period, got {self.periods!r}")
+
+
 def _level_sets(revenues) -> LevelSetOracle:
     """``revenues`` when it is a ``LevelSetOracle``, else one built from it."""
     return revenues if isinstance(revenues, LevelSetOracle) else LevelSetOracle(revenues)
@@ -57,14 +82,25 @@ class Policy:
     """Base class driving a decision generator.
 
     Subclasses implement ``_run()``, an infinite generator that yields
-    offers and receives the corresponding ``PurchaseOutcome`` via
-    ``send``; level sets are read off one ``LevelSetOracle`` and offered
+    offers and ``Run``s. An offer is resumed with its period's
+    ``PurchaseOutcome`` via ``send``, a run with its periods' summed
+    revenue; level sets are read off one ``LevelSetOracle`` and offered
     as their sizes. ``revenues`` is that oracle, or a revenue vector it is
-    built from. The generator's frame refers back to the policy, so
-    ``observe`` closes it once the T-th outcome is sent: a finished policy
+    built from. The generator's frame refers back to the policy, so the
+    policy closes it once the T-th period is observed: a finished policy
     is freed without a garbage collection, its statistics readable.
     ``close`` does the same for a policy dropped before its last offer.
+
+    ``next_offer``/``observe`` hand over and observe one period, of an
+    offer or of a run. ``next_run``/``observe_run`` hand over up to all the
+    periods a run still holds at once, and observe them by their revenues
+    alone; the generator is resumed once per run, however its periods were
+    served. ``holds_runs`` marks the subclasses whose generator yields
+    runs: the episode loop serves those with ``next_run``, and any other
+    policy a period at a time.
     """
+
+    holds_runs = False
 
     def __init__(self, revenues, horizon: int):
         self._levels = _level_sets(revenues)
@@ -72,22 +108,45 @@ class Policy:
             raise ValueError("horizon must be >= 1")
         self.revenues = self._levels.revenues
         self.horizon = int(horizon)
-        self._offers = 0
-        self._awaiting_observe = False
+        self._offers = 0  # periods handed over
+        self._awaiting = 0  # periods handed over and not yet observed
         self._gen = self._run()
-        self._pending = next(self._gen)
+        self._hold(next(self._gen))
 
     # -- protocol ---------------------------------------------------------
 
     def next_offer(self):
         """The next offer: a level-set size or a tuple of item ids."""
-        if self._awaiting_observe:
+        if self._awaiting:
             raise PolicyProtocolError("observe() must be called before the next offer")
         if self._offers >= self.horizon:
             raise HorizonExhaustedError(f"all {self.horizon} offers already emitted")
         self._offers += 1
-        self._awaiting_observe = True
-        return self._pending
+        self._awaiting = 1
+        return self._offer
+
+    def next_run(self, most: int, least: int = 1):
+        """The next offer and k, the periods it is held for from now on.
+
+        A run hands over the periods it still holds, within the horizon and
+        at most ``most``, when they are at least ``least``; an offer, or a
+        run with fewer, hands over one period. The k periods are observed
+        with ``observe`` when k is 1, or otherwise with ``observe_run``.
+        """
+        if self._awaiting:
+            raise PolicyProtocolError("observe() must be called before the next offer")
+        if self._offers >= self.horizon:
+            raise HorizonExhaustedError(f"all {self.horizon} offers already emitted")
+        k = self._left
+        if k > 1:
+            if most < 1:
+                raise ValueError(f"a run is served at least one period at a time, got {most!r}")
+            k = min(k, self.horizon - self._offers, most)
+            if k < least:
+                k = 1
+        self._offers += k
+        self._awaiting = k
+        return self._offer, k
 
     def next_assortment(self) -> tuple:
         """The next offer as a tuple of 1-based item ids."""
@@ -95,12 +154,32 @@ class Policy:
         return self._levels.prefix(offer) if isinstance(offer, int) else offer
 
     def observe(self, outcome: PurchaseOutcome) -> None:
-        if not self._awaiting_observe:
+        """Observe the one period handed over."""
+        if self._awaiting != 1:
             raise PolicyProtocolError("observe() without a preceding next_offer()")
-        self._awaiting_observe = False
-        self._pending = self._gen.send(outcome)
-        if self._offers == self.horizon:  # no offer can follow
-            self.close()
+        self._awaiting = 0
+        if self._total is None:  # an offer: the generator reads its outcome
+            pending = self._gen.send(outcome)
+            if type(pending) is Run:
+                self._hold(pending)
+            else:
+                self._offer = pending
+            if self._offers == self.horizon:  # no offer can follow
+                self.close()
+        else:
+            self._total += outcome.revenue
+            self._observed(1)
+
+    def observe_run(self, revenues) -> None:
+        """Observe the periods of a run handed over by ``next_run``:
+        ``revenues`` holds the revenue of each, in order, and is folded
+        into the run's sum left to right."""
+        if self._total is None or not 0 < len(revenues) == self._awaiting:
+            raise PolicyProtocolError("observe_run() must observe the periods of a run, all at once")
+        self._awaiting = 0
+        # np.add.accumulate adds in sequence: the bits of `total += r`.
+        self._total = float(np.add.accumulate(np.concatenate(([self._total], revenues)))[-1])
+        self._observed(len(revenues))
 
     def close(self) -> None:
         """End the decision generator, breaking its reference cycle with
@@ -108,6 +187,23 @@ class Policy:
         self._gen.close()
 
     # -- helpers ----------------------------------------------------------
+
+    def _hold(self, pending) -> None:
+        """Make ``pending``, an offer or a ``Run``, the next offer: an
+        offer holds one period and has no sum (``_total`` None)."""
+        if type(pending) is Run:
+            self._offer, self._left, self._total = pending.offer, pending.periods, 0.0
+        else:
+            self._offer, self._left, self._total = pending, 1, None
+
+    def _observed(self, periods: int) -> None:
+        """``periods`` of the run observed: resume the generator with its
+        sum once the run is over; close it at the horizon."""
+        self._left -= periods
+        if not self._left:
+            self._hold(self._gen.send(self._total))
+        if self._offers == self.horizon:
+            self.close()
 
     def _run(self):
         raise NotImplementedError
@@ -142,9 +238,13 @@ class TrisectionPolicy(Policy):
     assortment until the interval around its mean revenue excludes y, while
     exploiting the left endpoint a in every inner iteration; the interval
     then shrinks to two thirds of its length. Confidence level is 1/T^2.
+    Once y is excluded, the epoch's remaining inner iterations exploit a
+    alone, as one ``Run``.
 
     ``interval_history`` records (a, b) at the start of every epoch.
     """
+
+    holds_runs = True
 
     def __init__(self, revenues, horizon):
         self.interval_history: list = []
@@ -166,13 +266,16 @@ class TrisectionPolicy(Policy):
             explore = self._levels.level_size(y)
             exploit = self._levels.level_size(a)
             total, count = 0.0, 0
-            lower, upper = 0.0, 1.0
-            for _ in range(budget):
-                if lower <= y <= upper:
-                    outcome = yield explore
-                    total += outcome.revenue
-                    count += 1
-                    lower, upper = self._make_ci(total, count)
+            # Every iteration exploits; those before y is excluded explore
+            # first (y lies in [0, 1], so the first always does).
+            for i in range(budget):
+                outcome = yield explore
+                total += outcome.revenue
+                count += 1
+                lower, upper = self._make_ci(total, count)
+                if not lower <= y <= upper:
+                    yield Run(exploit, budget - i)
+                    break
                 yield exploit
             if upper < y:
                 b = y
@@ -329,13 +432,15 @@ class GoldenRatioSearchPolicy(Policy):
     """Golden-section search over revenue levels.
 
     Each probe level is explored for ceil(sqrt(T)) periods with its level
-    set; empirical means decide which bracket endpoint is dropped. Once the
-    bracket collapses below 1/sqrt(T), the best probe so far is exploited
-    for the remaining horizon.
+    set, one ``Run``; empirical means decide which bracket endpoint is
+    dropped. Once the bracket collapses below 1/sqrt(T), the best probe so
+    far is exploited for the remaining horizon, a run that the horizon ends.
 
     ``interval_history`` records the bracket (lo, hi) at the start of every
     probe.
     """
+
+    holds_runs = True
 
     def __init__(self, revenues, horizon):
         self.interval_history: list = []
@@ -345,10 +450,7 @@ class GoldenRatioSearchPolicy(Policy):
         self.interval_history.append((lo, hi))
         size = self._levels.level_size(theta)
         count = math.ceil(math.sqrt(self.horizon))
-        total = 0.0
-        for _ in range(count):
-            outcome = yield size
-            total += outcome.revenue
+        total = yield Run(size, count)
         return total / count
 
     def _run(self):
@@ -378,11 +480,14 @@ class GoldenRatioSearchPolicy(Policy):
                 best_theta, best_mean = candidate
         incumbent = self._levels.level_size(best_theta)
         while True:
-            yield incumbent
+            yield Run(incumbent, self.horizon)
 
 
 class StaticPolicy(Policy):
-    """Always offers one fixed assortment (reference policy)."""
+    """Always offers one fixed assortment (reference policy), as runs of
+    the whole horizon."""
+
+    holds_runs = True
 
     def __init__(self, revenues, horizon, assortment):
         levels = _level_sets(revenues)
@@ -392,7 +497,7 @@ class StaticPolicy(Policy):
 
     def _run(self):
         while True:
-            yield self.assortment
+            yield Run(self.assortment, self.horizon)
 
 
 _POLICY_CLASSES = {

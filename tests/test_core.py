@@ -288,6 +288,10 @@ class TestPreparedOffer:
             assert out == offer.sample(via_block)
             counter.random()
         assert via_offer.random() == via_function.random() == counter.random() == via_block.random()
+        # The block drawn in one pass: the revenues the draws one by one make.
+        one_by_one = SimpleNamespace(random=iter(block).__next__)
+        revenues = [repr(offer.sample(one_by_one).revenue) for _ in block]
+        assert [repr(r) for r in offer.purchase_revenues(np.array(block)).tolist()] == revenues
 
     def test_holds_indices_and_cumulative_utilities(self):
         inst = Instance([0.1, 0.2, 0.3], [1.0, 2.0, 4.0])

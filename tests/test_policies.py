@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assortbench import harness
 from assortbench.core import (
@@ -9,6 +11,8 @@ from assortbench.core import (
     LevelSetOracle,
     PreparedOffer,
     PurchaseOutcome,
+    expected_revenue,
+    oracle_optimal,
     sample_purchase,
 )
 from assortbench.generators import generate_lower_bound, generate_synthetic
@@ -17,6 +21,7 @@ from assortbench.policies import (
     GoldenRatioSearchPolicy,
     HorizonExhaustedError,
     PolicyProtocolError,
+    Run,
     StaticPolicy,
     ThompsonPolicy,
     TrisectionPolicy,
@@ -35,11 +40,12 @@ def ucb_index(policy):
     return policy._estimates()(policy.revenues.size)[policy._rank]
 
 
-def drive(policy, instance, periods, seed=0):
-    """Run a policy against an instance, returning the assortment sequence.
-    Each distinct offer's tuple and ``PreparedOffer`` are built once; a draw
-    takes one uniform either way, so the purchases are those of
-    ``sample_purchase``."""
+def drive(policy, instance, periods, seed=0, rewards=None):
+    """Run a policy against an instance a period at a time, returning the
+    assortment sequence; ``rewards``, when given, receives each period's
+    revenue. Each distinct offer's tuple and ``PreparedOffer`` are built
+    once; a draw takes one uniform either way, so the purchases are those
+    of ``sample_purchase``."""
     rng = np.random.default_rng(seed)
     offered = []
     prepared = {}  # offer (a size or a tuple) -> (tuple, PreparedOffer)
@@ -50,7 +56,10 @@ def drive(policy, instance, periods, seed=0):
             assortment = policy._levels.prefix(offer) if isinstance(offer, int) else offer
             entry = prepared[offer] = (assortment, PreparedOffer(instance, assortment))
         offered.append(entry[0])
-        policy.observe(entry[1].sample(rng))
+        outcome = entry[1].sample(rng)
+        if rewards is not None:
+            rewards.append(outcome.revenue)
+        policy.observe(outcome)
     return offered
 
 
@@ -342,25 +351,267 @@ def test_episode_values_each_distinct_offer_once(monkeypatch, name):
         calls.append(tuple(int(i) + 1 for i in assortment.indices))
         return expected_revenue(instance, assortment)
 
-    draws = []
-    sample_purchase = harness.sample_purchase
+    streams = {}  # seed -> the generator built from it
+    default_rng = np.random.default_rng
 
-    def counting_sample_purchase(instance, assortment, rng):
-        draws.append(1)
-        return sample_purchase(instance, assortment, rng)
+    def recording_default_rng(seed):
+        streams[seed] = default_rng(seed)
+        return streams[seed]
 
     monkeypatch.setattr(harness, "expected_revenue", counting_expected_revenue)
-    monkeypatch.setattr(harness, "sample_purchase", counting_sample_purchase)
+    monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
     params = {"assortment": (2, 5)} if name == "static" else None
     log = harness.run_episode(
         generate_synthetic(40, seed=9), name, 1500, seed=9, policy_params=params
     )
-    assert len(draws) == 1500
+    # One customer uniform a period, whether the period is served alone or
+    # in a run, and one logged reward.
+    seed = harness.derive_seed(9, "customer")
+    reference = default_rng(seed)
+    reference.random(1500)
+    assert streams[seed].bit_generator.state == reference.bit_generator.state
+    assert len(log.rewards) == len(log.offer_index) == 1500
     assert len(set(log.assortments)) > 1 or name == "static"
     assert sorted(calls) == sorted(set(log.assortments))
     # One tuple object per distinct offer, however a policy returns to it
     # (another threshold with the same level set, or an earlier epoch's size).
     assert len({id(a) for a in log.assortments}) == len(set(log.assortments)) == len(log.offers)
+
+
+class _Resumes:
+    """A policy's decision generator, recording the ``repr`` of every value
+    it is resumed with: an outcome, or a run's summed revenue."""
+
+    def __init__(self, policy):
+        self.gen, self.sent = policy._gen, []
+        policy._gen = self
+
+    def send(self, value):
+        self.sent.append(repr(value))
+        return self.gen.send(value)
+
+    def close(self):
+        self.gen.close()
+
+
+class _Uniforms:
+    """A customer stream cycling through fixed uniforms, drawn one at a time
+    or as a block, as a numpy ``Generator`` draws them."""
+
+    def __init__(self, values):
+        self._values = iter(np.resize(np.array(values), 10**5).tolist())
+
+    def random(self, size=None):
+        if size is None:
+            return next(self._values)
+        return np.array([next(self._values) for _ in range(size)])
+
+
+# Level sets of 3 and 4 items have 1 + sum v = 4 and cumulative utilities
+# [1, 1, 3] and [1, 1, 3, 3]: u = 1/2 lands on a tie of them exactly, where
+# searchsorted(side="right") passes the zero-utility item.
+DYADIC = Instance([1.0, 0.75, 0.5, 0.25], [1.0, 0.0, 2.0, 0.0])
+EDGE_UNIFORMS = [0.5, 0.25, 0.75, 0.125, 0.875, 0.375, 0.625, 1.0 - 2.0**-53, 0.0]
+
+RUN_INSTANCES = {
+    "synthetic-1": generate_synthetic(1, seed=4),
+    "synthetic-40": generate_synthetic(40, seed=4),
+    "synthetic-1000": generate_synthetic(1000, seed=4),
+    "p0-40": generate_lower_bound("P0", 40, 1000),
+    "p1-40": generate_lower_bound("P1", 40, 1000),
+    "p0-1000": generate_lower_bound("P0", 1000, 1000),
+    "p1-1000": generate_lower_bound("P1", 1000, 1000),
+    "dyadic": DYADIC,
+}
+
+
+def _static_params(name, instance, empty=False):
+    if name != "static":
+        return None
+    return {"assortment": () if empty else oracle_optimal(instance)[0]}
+
+
+def _runs_and_periods(monkeypatch, name, instance, horizon, params, seed=5):
+    """One episode through ``run_episode``, which serves runs in bulk, and
+    its twin served a period at a time by ``drive``: (log, offers, rewards,
+    resumes of the first, resumes of the second)."""
+    make_policy = harness.make_policy
+    resumes = []
+
+    def recording_make_policy(*args, **kwargs):
+        policy = make_policy(*args, **kwargs)
+        resumes.append(_Resumes(policy))
+        return policy
+
+    monkeypatch.setattr(harness, "make_policy", recording_make_policy)
+    log = harness.run_episode(instance, name, horizon, seed, policy_params=params)
+    monkeypatch.setattr(harness, "make_policy", make_policy)
+    policy = make_policy(
+        name,
+        LevelSetOracle(instance.revenues),
+        horizon,
+        rng=np.random.default_rng(harness.derive_seed(seed, "policy")),
+        params=params,
+    )
+    twin, rewards = _Resumes(policy), []
+    offers = drive(policy, instance, horizon, harness.derive_seed(seed, "customer"), rewards)
+    return log, offers, rewards, resumes[0].sent, twin.sent
+
+
+@pytest.mark.parametrize(
+    "name, instance_name, horizon, empty",
+    [
+        (name, instance_name, horizon, False)
+        for name in POLICY_NAMES
+        for instance_name, horizon in [
+            ("synthetic-1", 1000),
+            ("synthetic-40", 1000),
+            ("synthetic-1000", 1000),
+            ("p0-40", 1000),
+            ("p1-40", 1000),
+            ("p0-1000", 1000),
+            ("p1-1000", 1000),
+            ("dyadic", 300),
+            # Runs longer than a block of uniforms: grs's incumbent and
+            # static's whole horizon.
+            ("synthetic-40", 10_000),
+        ]
+    ]
+    + [("static", "synthetic-40", 1000, True)],  # a run of the empty offer
+)
+def test_runs_match_period_by_period_serving(monkeypatch, name, instance_name, horizon, empty):
+    # Offers, rewards and regrets bit for bit, and every value the policy's
+    # generator is resumed with: a run's sum is the left fold of its rewards.
+    instance = RUN_INSTANCES[instance_name]
+    if instance is DYADIC:  # customers whose uniforms land on the ties
+        customer_seed = harness.derive_seed(5, "customer")
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random,
+            "default_rng",
+            lambda seed=None: _Uniforms(EDGE_UNIFORMS) if seed == customer_seed else default_rng(seed),
+        )
+    params = _static_params(name, instance, empty)
+    log, offers, rewards, resumed, resumed_twin = _runs_and_periods(
+        monkeypatch, name, instance, horizon, params
+    )
+    assert log.assortments == offers
+    assert [repr(r) for r in log.rewards] == [repr(r) for r in rewards]
+    optimal = oracle_optimal(instance)[1]
+    regret = {offer: optimal - expected_revenue(instance, offer) for offer in set(offers)}
+    assert [repr(step[3]) for step in log.steps] == [repr(regret[offer]) for offer in offers]
+    assert resumed == resumed_twin
+
+
+@pytest.mark.parametrize(
+    "name, horizon, empty, held",
+    [
+        ("trisection", 1000, False, 500),
+        ("grs", 10_000, False, harness.UNIFORM_BLOCK + 1),
+        ("static", 10_000, False, harness.UNIFORM_BLOCK + 1),
+        ("grs", 1000, False, 0),
+        ("static", 1000, True, 0),
+    ],
+)
+def test_runs_cover_the_edge_cases(monkeypatch, name, horizon, empty, held):
+    # The synthetic-40 cases above hold a run that the horizon cuts
+    # (trisection's first epoch budgets 2000 periods at T = 1000), runs
+    # longer than a block of uniforms, and runs of the empty offer (grs
+    # probes the level 0.618, above every revenue).
+    instance = RUN_INSTANCES["synthetic-40"]
+    params = _static_params(name, instance, empty)
+    log = _runs_and_periods(monkeypatch, name, instance, horizon, params)[0]
+    if held:  # the last `held` periods are one run's
+        assert set(log.offer_index[-held:]) == {log.offer_index[-1]}
+    else:
+        empty_offer = [k for k, (_, size, *_) in enumerate(log.offers) if size == 0]
+        assert log.offer_index.count(empty_offer[0]) >= math.ceil(math.sqrt(horizon))
+    if name == "trisection":
+        assert trisection_inner_budget(1.0 / 3.0, horizon) > horizon
+
+
+# Revenues that tie, hit 0 and 1, or fill the unit range; N = 1 included.
+_protocol_revenues = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _is_offer(offer, n):
+    """A size in [0, n] or a strictly increasing tuple of ids in [1, n]."""
+    if type(offer) is int:
+        return 0 <= offer <= n
+    return (
+        isinstance(offer, tuple)
+        and all(type(i) is int and 1 <= i <= n for i in offer)
+        and all(a < b for a, b in zip(offer, offer[1:]))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(POLICY_NAMES),
+    revenues=_protocol_revenues,
+    horizon=st.integers(min_value=1, max_value=300),
+    serving=st.sampled_from(["periods", "runs", "mixed"]),
+    data=st.data(),
+)
+def test_protocol_holds_however_runs_are_served(name, revenues, horizon, serving, data):
+    # Exactly T offers, each a size or an increasing tuple, then
+    # HorizonExhaustedError, whether runs are served a period at a time, at
+    # once, or mixed; a call out of order raises PolicyProtocolError and
+    # changes nothing.
+    n = len(revenues)
+    params = None
+    if name == "static":
+        keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        params = {"assortment": tuple(i + 1 for i, k in enumerate(keep) if k)}
+    policy = make_policy(name, revenues, horizon, rng=np.random.default_rng(0), params=params)
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    instance = Instance(revenues, rng.random(n) * 2.0)
+    prepared = {}
+    served = 0
+    while served < horizon:
+        if data.draw(st.integers(0, 9)) == 0:  # observe before any offer
+            with pytest.raises(PolicyProtocolError):
+                policy.observe(NO_PURCHASE)
+            with pytest.raises(PolicyProtocolError):
+                policy.observe_run(np.zeros(1))
+        mode = serving if serving != "mixed" else data.draw(st.sampled_from(["periods", "runs"]))
+        if mode == "periods":
+            offer, k = policy.next_offer(), 1
+        else:
+            most = horizon if serving == "runs" else data.draw(st.integers(1, horizon))
+            offer, k = policy.next_run(most, data.draw(st.integers(1, 10)))
+        assert _is_offer(offer, n) and 1 <= k <= horizon - served
+        if data.draw(st.integers(0, 9)) == 0:  # offer again, or observe wrongly
+            with pytest.raises(PolicyProtocolError):
+                policy.next_offer()
+            with pytest.raises(PolicyProtocolError):
+                policy.next_run(horizon)
+            with pytest.raises(PolicyProtocolError):
+                policy.observe_run(np.zeros(k + 1))
+            if k > 1:
+                with pytest.raises(PolicyProtocolError):
+                    policy.observe(NO_PURCHASE)
+        if offer not in prepared:
+            items = policy._levels.prefix(offer) if type(offer) is int else offer
+            prepared[offer] = PreparedOffer(instance, items)
+        if k == 1:
+            policy.observe(prepared[offer].sample(rng))
+        else:
+            policy.observe_run(prepared[offer].purchase_revenues(rng.random(k)))
+        served += k
+    assert served == horizon
+    for call in (policy.next_offer, policy.next_assortment, lambda: policy.next_run(horizon)):
+        with pytest.raises(HorizonExhaustedError):
+            call()
+
+
+def test_a_run_holds_a_period_at_least():
+    with pytest.raises(ValueError, match="at least one period"):
+        Run(3, 0)
 
 
 def split_instance(instance, k):
