@@ -228,13 +228,13 @@ def run_episode(
     assortment under the true instance.
 
     A policy is served a period at a time through ``next_offer`` and
-    ``observe``, unless it holds runs (``Policy.holds_runs``): then each
-    ``next_run`` step takes all the periods its run still holds within the
-    block, decides them from the block's next uniforms with one
-    ``PreparedOffer.purchase_revenues`` pass, logs them in bulk and hands
-    their revenues to ``observe_run``. A step of one period is served as
-    any period is, so the offers, rewards and regrets are those of
-    period-by-period serving, bit for bit.
+    ``observe``. One that holds runs (``Policy.holds_runs``) is served a
+    run at a time whenever its next offer is held for at least ``RUN_MIN``
+    periods (``Policy.held``): a ``next_run`` step takes the periods the
+    run still holds within the block, decides them from the block's next
+    uniforms with one ``PreparedOffer.purchase_revenues`` pass, logs them
+    in bulk and hands their revenues to ``observe_run``. The offers,
+    rewards and regrets are those of period-by-period serving, bit for bit.
 
     One ``LevelSetOracle`` serves the episode: the policy reads its level
     sets off it and the optimal value is its best prefix. An offer must be
@@ -269,23 +269,27 @@ def run_episode(
             offers.append((offer, len(items), value, optimal_value - value))
         return prepared, index
 
+    kind = type(policy).__name__  # named in the error; `policy` stays a fast local
+
     def take(offer):
         if not (type(offer) is int and 0 <= offer <= n or isinstance(offer, tuple)):
             raise TypeError(
-                f"policy {policy_name!r} ({type(policy).__name__}) offered a "
+                f"policy {policy_name!r} ({kind}) offered a "
                 f"{type(offer).__name__}; offers must be sizes in [0, {n}] or tuples"
             )
         return prepare(offer)
 
-    next_run = policy.next_run if getattr(policy, "holds_runs", False) else None
+    # A policy that holds no runs is served a period at a time, with no read
+    # of `held` in its periods.
+    serves_runs = getattr(policy, "holds_runs", False)
     last = object()  # no policy's offer, so the first period always prepares
     for start in range(0, horizon, UNIFORM_BLOCK):
         block = customer_rng.random(min(UNIFORM_BLOCK, horizon - start))
-        uniforms = block.tolist()
-        customer_stream = iter(uniforms)
+        customer_stream = iter(block.tolist())
         customers.random = customer_stream.__next__
-        if next_run is None:
-            for _ in uniforms:
+        periods = iter(range(block.size))
+        if not serves_runs:
+            for _ in periods:
                 offer = policy.next_offer()
                 if offer is not last:
                     last = offer
@@ -295,9 +299,11 @@ def run_episode(
                 add_index(index)
                 add_reward(outcome.revenue)
             continue
-        p, size = 0, block.size
-        while p < size:
-            offer, k = next_run(size - p, RUN_MIN)
+        for p in periods:
+            if policy.held >= RUN_MIN:
+                offer, k = policy.next_run(block.size - p, RUN_MIN)
+            else:
+                offer, k = policy.next_offer(), 1
             if offer is not last:
                 last = offer
                 prepared, index = take(offer)
@@ -311,8 +317,9 @@ def run_episode(
                 policy.observe_run(revenues)
                 log.offer_index.extend(array("q", (index,)) * k)
                 log.rewards.frombytes(revenues.tobytes())
-                next(islice(customer_stream, k, k), None)  # skip the run's uniforms
-            p += k
+                # The run's uniforms and periods are spent.
+                next(islice(customer_stream, k, k), None)
+                next(islice(periods, k - 1, k - 1), None)
     return log
 
 

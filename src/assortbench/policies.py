@@ -7,7 +7,7 @@ offers. An offer is a level-set size of the policy's ``LevelSetOracle``
 (every policy here but ``static``) or a tuple of item ids;
 ``next_assortment()`` returns either as a tuple of item ids.
 
-A policy may hold an offer for a ``Run`` of periods whose outcomes it reads
+A policy may hold an offer for a run of periods whose outcomes it reads
 only as their summed revenue: trisection's exploitation once its interval
 excludes the probe level, each golden-section probe and the final
 incumbent, and the static offer. ``next_run``/``observe_run`` hand over
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .core import oracle_optimal  # noqa: F401  (perfbench's tracer wraps it by 
 
 __all__ = [
     "Policy",
-    "Run",
     "PolicyProtocolError",
     "HorizonExhaustedError",
     "TrisectionPolicy",
@@ -57,22 +55,6 @@ class HorizonExhaustedError(RuntimeError):
     """The policy already emitted all T offers."""
 
 
-@dataclass(frozen=True)
-class Run:
-    """One offer held for ``periods`` periods (at least 1) whose outcomes
-    the policy does not read one by one. The decision generator that yields
-    it is resumed once, after the last of them, with their summed revenue
-    as a left fold from 0.0 (the bits of ``total += outcome.revenue``), or
-    not at all if the horizon ends first."""
-
-    offer: object
-    periods: int
-
-    def __post_init__(self):
-        if not self.periods >= 1:
-            raise ValueError(f"a run holds at least one period, got {self.periods!r}")
-
-
 def _level_sets(revenues) -> LevelSetOracle:
     """``revenues`` when it is a ``LevelSetOracle``, else one built from it."""
     return revenues if isinstance(revenues, LevelSetOracle) else LevelSetOracle(revenues)
@@ -82,11 +64,11 @@ class Policy:
     """Base class driving a decision generator.
 
     Subclasses implement ``_run()``, an infinite generator that yields
-    offers and ``Run``s. An offer is resumed with its period's
-    ``PurchaseOutcome`` via ``send``, a run with its periods' summed
-    revenue; level sets are read off one ``LevelSetOracle`` and offered
-    as their sizes. ``revenues`` is that oracle, or a revenue vector it is
-    built from. The generator's frame refers back to the policy, so the
+    offers and receives the corresponding ``PurchaseOutcome`` via
+    ``send``, or yields an offer held as a run (``_hold``) and receives
+    the run's summed revenue; level sets are read off one
+    ``LevelSetOracle`` and offered as their sizes. ``revenues`` is that
+    oracle, or a revenue vector it is built from. The generator's frame refers back to the policy, so the
     policy closes it once the T-th period is observed: a finished policy
     is freed without a garbage collection, its statistics readable.
     ``close`` does the same for a policy dropped before its last offer.
@@ -95,9 +77,10 @@ class Policy:
     offer or of a run. ``next_run``/``observe_run`` hand over up to all the
     periods a run still holds at once, and observe them by their revenues
     alone; the generator is resumed once per run, however its periods were
-    served. ``holds_runs`` marks the subclasses whose generator yields
-    runs: the episode loop serves those with ``next_run``, and any other
-    policy a period at a time.
+    served. ``held`` is the number of periods the next offer is held for:
+    1 for an offer, and for a run the periods it still holds (the horizon
+    may end it sooner). ``holds_runs`` marks the subclasses whose generator
+    yields runs; the episode loop reads ``held`` only for those.
     """
 
     holds_runs = False
@@ -110,8 +93,9 @@ class Policy:
         self.horizon = int(horizon)
         self._offers = 0  # periods handed over
         self._awaiting = 0  # periods handed over and not yet observed
+        self.held, self._total = 1, None  # an offer: one period, no sum
         self._gen = self._run()
-        self._hold(next(self._gen))
+        self._offer = next(self._gen)
 
     # -- protocol ---------------------------------------------------------
 
@@ -137,7 +121,7 @@ class Policy:
             raise PolicyProtocolError("observe() must be called before the next offer")
         if self._offers >= self.horizon:
             raise HorizonExhaustedError(f"all {self.horizon} offers already emitted")
-        k = self._left
+        k = self.held
         if k > 1:
             if most < 1:
                 raise ValueError(f"a run is served at least one period at a time, got {most!r}")
@@ -159,11 +143,7 @@ class Policy:
             raise PolicyProtocolError("observe() without a preceding next_offer()")
         self._awaiting = 0
         if self._total is None:  # an offer: the generator reads its outcome
-            pending = self._gen.send(outcome)
-            if type(pending) is Run:
-                self._hold(pending)
-            else:
-                self._offer = pending
+            self._offer = self._gen.send(outcome)
             if self._offers == self.horizon:  # no offer can follow
                 self.close()
         else:
@@ -188,20 +168,26 @@ class Policy:
 
     # -- helpers ----------------------------------------------------------
 
-    def _hold(self, pending) -> None:
-        """Make ``pending``, an offer or a ``Run``, the next offer: an
-        offer holds one period and has no sum (``_total`` None)."""
-        if type(pending) is Run:
-            self._offer, self._left, self._total = pending.offer, pending.periods, 0.0
-        else:
-            self._offer, self._left, self._total = pending, 1, None
+    def _hold(self, offer, periods: int):
+        """Hold ``offer`` for a run of ``periods`` periods (at least 1) whose
+        outcomes ``_run`` does not read one by one, and return it for
+        ``_run`` to yield. The generator is resumed once, after the last of
+        them, with their summed revenue as a left fold from 0.0 (the bits
+        of ``total += outcome.revenue``), or not at all if the horizon ends
+        first."""
+        if not periods >= 1:
+            raise ValueError(f"a run holds at least one period, got {periods!r}")
+        self.held, self._total = periods, 0.0
+        return offer
 
     def _observed(self, periods: int) -> None:
         """``periods`` of the run observed: resume the generator with its
         sum once the run is over; close it at the horizon."""
-        self._left -= periods
-        if not self._left:
-            self._hold(self._gen.send(self._total))
+        self.held -= periods
+        if not self.held:
+            total = self._total
+            self.held, self._total = 1, None  # until the generator holds a run again
+            self._offer = self._gen.send(total)
         if self._offers == self.horizon:
             self.close()
 
@@ -239,7 +225,7 @@ class TrisectionPolicy(Policy):
     exploiting the left endpoint a in every inner iteration; the interval
     then shrinks to two thirds of its length. Confidence level is 1/T^2.
     Once y is excluded, the epoch's remaining inner iterations exploit a
-    alone, as one ``Run``.
+    alone, as one run.
 
     ``interval_history`` records (a, b) at the start of every epoch.
     """
@@ -274,7 +260,7 @@ class TrisectionPolicy(Policy):
                 count += 1
                 lower, upper = self._make_ci(total, count)
                 if not lower <= y <= upper:
-                    yield Run(exploit, budget - i)
+                    yield self._hold(exploit, budget - i)
                     break
                 yield exploit
             if upper < y:
@@ -432,7 +418,7 @@ class GoldenRatioSearchPolicy(Policy):
     """Golden-section search over revenue levels.
 
     Each probe level is explored for ceil(sqrt(T)) periods with its level
-    set, one ``Run``; empirical means decide which bracket endpoint is
+    set, one run; empirical means decide which bracket endpoint is
     dropped. Once the bracket collapses below 1/sqrt(T), the best probe so
     far is exploited for the remaining horizon, a run that the horizon ends.
 
@@ -450,7 +436,7 @@ class GoldenRatioSearchPolicy(Policy):
         self.interval_history.append((lo, hi))
         size = self._levels.level_size(theta)
         count = math.ceil(math.sqrt(self.horizon))
-        total = yield Run(size, count)
+        total = yield self._hold(size, count)
         return total / count
 
     def _run(self):
@@ -480,7 +466,7 @@ class GoldenRatioSearchPolicy(Policy):
                 best_theta, best_mean = candidate
         incumbent = self._levels.level_size(best_theta)
         while True:
-            yield Run(incumbent, self.horizon)
+            yield self._hold(incumbent, self.horizon)
 
 
 class StaticPolicy(Policy):
@@ -497,7 +483,7 @@ class StaticPolicy(Policy):
 
     def _run(self):
         while True:
-            yield Run(self.assortment, self.horizon)
+            yield self._hold(self.assortment, self.horizon)
 
 
 _POLICY_CLASSES = {

@@ -20,8 +20,8 @@ from assortbench.policies import (
     AdaptiveTrisectionPolicy,
     GoldenRatioSearchPolicy,
     HorizonExhaustedError,
+    Policy,
     PolicyProtocolError,
-    Run,
     StaticPolicy,
     ThompsonPolicy,
     TrisectionPolicy,
@@ -610,8 +610,12 @@ def test_protocol_holds_however_runs_are_served(name, revenues, horizon, serving
 
 
 def test_a_run_holds_a_period_at_least():
+    class Empty(Policy):
+        def _run(self):
+            yield self._hold(1, 0)
+
     with pytest.raises(ValueError, match="at least one period"):
-        Run(3, 0)
+        Empty([0.5], 10)
 
 
 def split_instance(instance, k):
