@@ -58,9 +58,8 @@ __all__ = [
 # of periods is drawn at most a block at a time.
 UNIFORM_BLOCK = 4096
 # The fewest periods of a run drawn in one numpy pass. A pass costs about
-# as much as 8 periods served one at a time (8-9 us against 1.0-1.1 us a
-# period, N = 20 to 1000, 2 vCPUs), so shorter runs are served a period at
-# a time.
+# as much as 8 periods served one at a time (measured at N = 20 and 1000 on
+# 2 vCPUs), so shorter runs are served a period at a time.
 RUN_MIN = 8
 
 # A RunConfig's instance families, name -> (n, horizon, seed) -> Instance. The

@@ -121,10 +121,10 @@ class Policy:
             raise PolicyProtocolError("observe() must be called before the next offer")
         if self._offers >= self.horizon:
             raise HorizonExhaustedError(f"all {self.horizon} offers already emitted")
+        if most < 1:
+            raise ValueError(f"a run is served at least one period at a time, got {most!r}")
         k = self.held
         if k > 1:
-            if most < 1:
-                raise ValueError(f"a run is served at least one period at a time, got {most!r}")
             k = min(k, self.horizon - self._offers, most)
             if k < least:
                 k = 1

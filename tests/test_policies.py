@@ -609,13 +609,15 @@ def test_protocol_holds_however_runs_are_served(name, revenues, horizon, serving
             call()
 
 
-def test_a_run_holds_a_period_at_least():
+def test_runs_hold_and_hand_over_a_period_at_least():
     class Empty(Policy):
         def _run(self):
             yield self._hold(1, 0)
 
     with pytest.raises(ValueError, match="at least one period"):
         Empty([0.5], 10)
+    with pytest.raises(ValueError, match="at least one period"):
+        StaticPolicy([0.5], 10, (1,)).next_run(0)
 
 
 def split_instance(instance, k):
