@@ -68,9 +68,10 @@ class Policy:
     ``send``, or yields an offer held as a run (``_hold``) and receives
     the run's summed revenue; level sets are read off one
     ``LevelSetOracle`` and offered as their sizes. ``revenues`` is that
-    oracle, or a revenue vector it is built from. The generator's frame refers back to the policy, so the
-    policy closes it once the T-th period is observed: a finished policy
-    is freed without a garbage collection, its statistics readable.
+    oracle, or a revenue vector it is built from. The generator's frame
+    refers back to the policy, so the policy closes it once the T-th period
+    is observed: a finished policy is freed without a garbage collection,
+    its statistics readable.
     ``close`` does the same for a policy dropped before its last offer.
 
     ``next_offer``/``observe`` hand over and observe one period, of an
@@ -155,7 +156,9 @@ class Policy:
         ``revenues`` holds the revenue of each, in order, and is folded
         into the run's sum left to right."""
         if self._total is None or not 0 < len(revenues) == self._awaiting:
-            raise PolicyProtocolError("observe_run() must observe the periods of a run, all at once")
+            raise PolicyProtocolError(
+                "observe_run() must observe all the periods of a run handed over"
+            )
         self._awaiting = 0
         # np.add.accumulate adds in sequence: the bits of `total += r`.
         self._total = float(np.add.accumulate(np.concatenate(([self._total], revenues)))[-1])
@@ -252,8 +255,9 @@ class TrisectionPolicy(Policy):
             explore = self._levels.level_size(y)
             exploit = self._levels.level_size(a)
             total, count = 0.0, 0
-            # Every iteration exploits; those before y is excluded explore
-            # first (y lies in [0, 1], so the first always does).
+            # Each iteration explores, then exploits. Once the interval
+            # excludes y (never before the first explore: y lies in [0, 1]),
+            # the rest of the budget exploits as one run.
             for i in range(budget):
                 outcome = yield explore
                 total += outcome.revenue

@@ -486,11 +486,11 @@ def test_runs_match_period_by_period_serving(monkeypatch, name, instance_name, h
     if instance is DYADIC:  # customers whose uniforms land on the ties
         customer_seed = harness.derive_seed(5, "customer")
         default_rng = np.random.default_rng
-        monkeypatch.setattr(
-            np.random,
-            "default_rng",
-            lambda seed=None: _Uniforms(EDGE_UNIFORMS) if seed == customer_seed else default_rng(seed),
-        )
+
+        def edge_default_rng(seed=None):
+            return _Uniforms(EDGE_UNIFORMS) if seed == customer_seed else default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", edge_default_rng)
     params = _static_params(name, instance, empty)
     log, offers, rewards, resumed, resumed_twin = _runs_and_periods(
         monkeypatch, name, instance, horizon, params
