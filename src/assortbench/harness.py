@@ -226,14 +226,14 @@ def run_episode(
     Regret per period is the gap in expected revenue against the optimal
     assortment under the true instance.
 
-    A policy is served a period at a time through ``next_offer`` and
-    ``observe``. One that holds runs (``Policy.holds_runs``) is served a
-    run at a time whenever its next offer is held for at least ``RUN_MIN``
-    periods (``Policy.held``): a ``next_run`` step takes the periods the
-    run still holds within the block, decides them from the block's next
-    uniforms with one ``PreparedOffer.purchase_revenues`` pass, logs them
-    in bulk and hands their revenues to ``observe_run``. The offers,
-    rewards and regrets are those of period-by-period serving, bit for bit.
+    A period is served alone through ``next_offer()`` and ``observe``.
+    When the policy's next offer is held for at least ``RUN_MIN`` periods
+    (``Policy.held``) and that many remain in the block, the periods it
+    holds within the block are served as one run: ``next_offer(k)`` hands
+    them over, one ``PreparedOffer.purchase_revenues`` pass decides them
+    from the block's next uniforms, they are logged in bulk and their
+    revenues go to ``observe_run``. The offers, rewards and regrets are
+    those of period-by-period serving, bit for bit.
 
     One ``LevelSetOracle`` serves the episode: the policy reads its level
     sets off it and the optimal value is its best prefix. An offer must be
@@ -245,9 +245,9 @@ def run_episode(
     """
     customer_rng = np.random.default_rng(derive_seed(seed, "customer"))
     customers = SimpleNamespace()
-    policy_rng = np.random.default_rng(derive_seed(seed, "policy"))
     levels = LevelSetOracle(instance.revenues)
-    policy = make_policy(policy_name, levels, horizon, rng=policy_rng, params=policy_params)
+    policy_seed = derive_seed(seed, "policy")
+    policy = make_policy(policy_name, levels, horizon, rng=policy_seed, params=policy_params)
     _, optimal_value = levels.best_prefix(lambda m: instance.utilities[levels.order[:m]])
     log = EpisodeLog(policy_name=policy_name, seed=seed, optimal_value=optimal_value, levels=levels)
     offers = log.offers
@@ -278,17 +278,15 @@ def run_episode(
             )
         return prepare(offer)
 
-    # A policy that holds no runs is served by a loop that never reads `held`:
-    # one shared loop made UCB about 1% dearer a period.
-    serves_runs = getattr(policy, "holds_runs", False)
     last = object()  # no policy's offer, so the first period always prepares
     for start in range(0, horizon, UNIFORM_BLOCK):
         block = customer_rng.random(min(UNIFORM_BLOCK, horizon - start))
         customer_stream = iter(block.tolist())
         customers.random = customer_stream.__next__
-        periods = iter(range(block.size))
-        if not serves_runs:
-            for _ in periods:
+        size = block.size
+        periods = iter(range(size))
+        for p in periods:
+            if policy.held < RUN_MIN or size - p < RUN_MIN:
                 offer = policy.next_offer()
                 if offer is not last:
                     last = offer
@@ -297,28 +295,17 @@ def run_episode(
                 policy.observe(outcome)
                 add_index(index)
                 add_reward(outcome.revenue)
-            continue
-        for p in periods:
-            if policy.held >= RUN_MIN:
-                offer, k = policy.next_run(block.size - p, RUN_MIN)
-            else:
-                offer, k = policy.next_offer(), 1
-            if offer is not last:
-                last = offer
-                prepared, index = take(offer)
-            if k == 1:
-                outcome = sample_purchase(instance, prepared, customers)
-                policy.observe(outcome)
-                add_index(index)
-                add_reward(outcome.revenue)
-            else:
-                revenues = prepared.purchase_revenues(block[p : p + k])
-                policy.observe_run(revenues)
-                log.offer_index.extend(array("q", (index,)) * k)
-                log.rewards.frombytes(revenues.tobytes())
-                # The run's uniforms and periods are spent.
-                next(islice(customer_stream, k, k), None)
-                next(islice(periods, k - 1, k - 1), None)
+                continue
+            k = min(policy.held, size - p)
+            last = offer = policy.next_offer(k)
+            prepared, index = take(offer)  # a cache hit when the offer repeats
+            revenues = prepared.purchase_revenues(block[p : p + k])
+            policy.observe_run(revenues)
+            log.offer_index.extend(array("q", (index,)) * k)
+            log.rewards.frombytes(revenues.tobytes())
+            # The run's uniforms and periods are spent.
+            next(islice(customer_stream, k, k), None)
+            next(islice(periods, k - 1, k - 1), None)
     return log
 
 

@@ -10,9 +10,10 @@ offers. An offer is a level-set size of the policy's ``LevelSetOracle``
 A policy may hold an offer for a run of periods whose outcomes it reads
 only as their summed revenue: trisection's exploitation once its interval
 excludes the probe level, each golden-section probe and the final
-incumbent, and the static offer. ``next_run``/``observe_run`` hand over
-and observe such periods at once; ``next_offer``/``observe`` serve them one
-period at a time, with the same offers and the same sum.
+incumbent, and the static offer. ``held`` is the number of periods the
+next offer is held for; ``next_offer(k)`` hands over k of them at once and
+``observe_run`` observes them, with the same offers and the same sum as
+``next_offer()``/``observe`` one period at a time.
 
 Included: the trisection policy and its adaptive-confidence variant,
 epoch-based UCB and Thompson-sampling baselines, golden-ratio search over
@@ -74,17 +75,14 @@ class Policy:
     its statistics readable.
     ``close`` does the same for a policy dropped before its last offer.
 
-    ``next_offer``/``observe`` hand over and observe one period, of an
-    offer or of a run. ``next_run``/``observe_run`` hand over up to all the
-    periods a run still holds at once, and observe them by their revenues
-    alone; the generator is resumed once per run, however its periods were
-    served. ``held`` is the number of periods the next offer is held for:
-    1 for an offer, and for a run the periods it still holds (the horizon
-    may end it sooner). ``holds_runs`` marks the subclasses whose generator
-    yields runs; the episode loop reads ``held`` only for those.
+    ``held`` is the number of periods the next offer is held for: 1 for an
+    offer, and for a run the periods it still holds (the horizon may end it
+    sooner). ``next_offer()``/``observe`` hand over and observe one period,
+    of an offer or of a run; ``next_offer(k)``/``observe_run`` hand over k
+    of the periods a run still holds at once, and observe them by their
+    revenues alone. The generator is resumed once per run, however its
+    periods were served.
     """
-
-    holds_runs = False
 
     def __init__(self, revenues, horizon: int):
         self._levels = _level_sets(revenues)
@@ -100,38 +98,22 @@ class Policy:
 
     # -- protocol ---------------------------------------------------------
 
-    def next_offer(self):
-        """The next offer: a level-set size or a tuple of item ids."""
+    def next_offer(self, periods: int = 1):
+        """The next offer, a level-set size or a tuple of item ids, handed
+        over for ``periods`` periods: 1, or up to all the periods a run
+        still holds within the horizon. They are observed with ``observe``
+        when ``periods`` is 1, or otherwise with ``observe_run``."""
         if self._awaiting:
             raise PolicyProtocolError("observe() must be called before the next offer")
         if self._offers >= self.horizon:
             raise HorizonExhaustedError(f"all {self.horizon} offers already emitted")
-        self._offers += 1
-        self._awaiting = 1
+        if periods != 1:
+            most = min(self.held, self.horizon - self._offers)
+            if type(periods) is not int or not 1 <= periods <= most:
+                raise ValueError(f"the next offer holds 1 to {most} periods, got {periods!r}")
+        self._offers += periods
+        self._awaiting = periods
         return self._offer
-
-    def next_run(self, most: int, least: int = 1):
-        """The next offer and k, the periods it is held for from now on.
-
-        A run hands over the periods it still holds, within the horizon and
-        at most ``most``, when they are at least ``least``; an offer, or a
-        run with fewer, hands over one period. The k periods are observed
-        with ``observe`` when k is 1, or otherwise with ``observe_run``.
-        """
-        if self._awaiting:
-            raise PolicyProtocolError("observe() must be called before the next offer")
-        if self._offers >= self.horizon:
-            raise HorizonExhaustedError(f"all {self.horizon} offers already emitted")
-        if most < 1:
-            raise ValueError(f"a run is served at least one period at a time, got {most!r}")
-        k = self.held
-        if k > 1:
-            k = min(k, self.horizon - self._offers, most)
-            if k < least:
-                k = 1
-        self._offers += k
-        self._awaiting = k
-        return self._offer, k
 
     def next_assortment(self) -> tuple:
         """The next offer as a tuple of 1-based item ids."""
@@ -152,7 +134,7 @@ class Policy:
             self._observed(1)
 
     def observe_run(self, revenues) -> None:
-        """Observe the periods of a run handed over by ``next_run``:
+        """Observe the periods of a run handed over by ``next_offer(k)``:
         ``revenues`` holds the revenue of each, in order, and is folded
         into the run's sum left to right."""
         if self._total is None or not 0 < len(revenues) == self._awaiting:
@@ -232,8 +214,6 @@ class TrisectionPolicy(Policy):
 
     ``interval_history`` records (a, b) at the start of every epoch.
     """
-
-    holds_runs = True
 
     def __init__(self, revenues, horizon):
         self.interval_history: list = []
@@ -403,7 +383,7 @@ class ThompsonPolicy(_EpochEstimatorPolicy):
     """
 
     def __init__(self, revenues, horizon, *, rng=None):
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = np.random.default_rng(rng)  # a seed, None, or a Generator as is
         super().__init__(revenues, horizon)
 
     def _estimates(self):
@@ -429,8 +409,6 @@ class GoldenRatioSearchPolicy(Policy):
     ``interval_history`` records the bracket (lo, hi) at the start of every
     probe.
     """
-
-    holds_runs = True
 
     def __init__(self, revenues, horizon):
         self.interval_history: list = []
@@ -477,8 +455,6 @@ class StaticPolicy(Policy):
     """Always offers one fixed assortment (reference policy), as runs of
     the whole horizon."""
 
-    holds_runs = True
-
     def __init__(self, revenues, horizon, assortment):
         levels = _level_sets(revenues)
         idx = assortment_indices(tuple(assortment), levels.revenues.size)
@@ -506,6 +482,7 @@ def make_policy(name: str, revenues, horizon: int, *, rng=None, params=None) -> 
 
     ``revenues`` is a revenue vector or a ``LevelSetOracle`` over one; the
     policy reads its level sets off a given oracle instead of sorting again.
+    ``rng`` seeds Thompson's draws: a seed, ``None`` or a numpy ``Generator``.
 
     Raises ValueError for an unknown name or a parameter value the policy
     rejects, and TypeError for a parameter the policy does not take.

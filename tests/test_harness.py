@@ -156,6 +156,8 @@ class TestRunEpisode:
         # One list edited between periods would be found again by identity
         # and valued, sampled and logged as its first contents.
         class Aliasing:
+            held = 1  # each offer is one period's
+
             def __init__(self, *args, **kwargs):
                 self._offer, self._t = [], 0
 
@@ -175,6 +177,8 @@ class TestRunEpisode:
     @pytest.mark.parametrize("offer", [True, -1, 11, np.int64(2), 2.0, None])
     def test_sizes_must_be_ints_within_the_items(self, monkeypatch, offer):
         class Constant:
+            held = 1  # each offer is one period's
+
             def __init__(self, *args, **kwargs):
                 pass
 
@@ -194,6 +198,8 @@ class TestRunEpisode:
         # A returning offer is prepared again only once two other offers
         # have been used since it was last offered.
         class Cycle:
+            held = 1  # each offer is one period's
+
             def __init__(self, *args, **kwargs):
                 self._offers = itertools.cycle(sequence)
 
@@ -266,6 +272,8 @@ class TestRunEpisode:
     @pytest.mark.parametrize("name", (*POLICY_NAMES, "duck-typed"))
     def test_optimal_value_is_oracle_optimal(self, monkeypatch, name):
         class FirstItem:
+            held = 1  # each offer is one period's
+
             def __init__(self, *args, **kwargs):
                 pass
 

@@ -477,7 +477,9 @@ def _runs_and_periods(monkeypatch, name, instance, horizon, params, seed=5):
             ("synthetic-40", 10_000),
         ]
     ]
-    + [("static", "synthetic-40", 1000, True)],  # a run of the empty offer
+    + [("static", "synthetic-40", 1000, True)]  # a run of the empty offer
+    # A run that the horizon cuts below RUN_MIN.
+    + [("trisection", "p0-40", 226, False), ("adaptive-trisection", "p0-40", 232, False)],
 )
 def test_runs_match_period_by_period_serving(monkeypatch, name, instance_name, horizon, empty):
     # Offers, rewards and regrets bit for bit, and every value the policy's
@@ -504,21 +506,23 @@ def test_runs_match_period_by_period_serving(monkeypatch, name, instance_name, h
 
 
 @pytest.mark.parametrize(
-    "name, horizon, empty, held",
+    "name, instance_name, horizon, empty, held",
     [
-        ("trisection", 1000, False, 500),
-        ("grs", 10_000, False, harness.UNIFORM_BLOCK + 1),
-        ("static", 10_000, False, harness.UNIFORM_BLOCK + 1),
-        ("grs", 1000, False, 0),
-        ("static", 1000, True, 0),
+        ("trisection", "synthetic-40", 1000, False, 500),
+        ("grs", "synthetic-40", 10_000, False, harness.UNIFORM_BLOCK + 1),
+        ("static", "synthetic-40", 10_000, False, harness.UNIFORM_BLOCK + 1),
+        ("grs", "synthetic-40", 1000, False, 0),
+        ("static", "synthetic-40", 1000, True, 0),
+        ("trisection", "p0-40", 226, False, 3),
+        ("adaptive-trisection", "p0-40", 232, False, 3),
     ],
 )
-def test_runs_cover_the_edge_cases(monkeypatch, name, horizon, empty, held):
-    # The synthetic-40 cases above hold a run that the horizon cuts
-    # (trisection's first epoch budgets 2000 periods at T = 1000), runs
-    # longer than a block of uniforms, and runs of the empty offer (grs
-    # probes the level 0.618, above every revenue).
-    instance = RUN_INSTANCES["synthetic-40"]
+def test_runs_cover_the_edge_cases(monkeypatch, name, instance_name, horizon, empty, held):
+    # The cases above hold a run that the horizon cuts (trisection's first
+    # epoch budgets 2000 periods at T = 1000, and the p0-40 runs are cut
+    # below RUN_MIN), runs longer than a block of uniforms, and runs of the
+    # empty offer (grs probes the level 0.618, above every revenue).
+    instance = RUN_INSTANCES[instance_name]
     params = _static_params(name, instance, empty)
     log = _runs_and_periods(monkeypatch, name, instance, horizon, params)[0]
     if held:  # the last `held` periods are one run's
@@ -528,6 +532,25 @@ def test_runs_cover_the_edge_cases(monkeypatch, name, horizon, empty, held):
         assert log.offer_index.count(empty_offer[0]) >= math.ceil(math.sqrt(horizon))
     if name == "trisection":
         assert trisection_inner_budget(1.0 / 3.0, horizon) > horizon
+    if 0 < held < harness.RUN_MIN:
+        # The cut run holds at least RUN_MIN periods, and its last periods
+        # go through sample_purchase one at a time.
+        policies, served = [], []  # (periods handed over, periods held) per call
+
+        def recording_make_policy(*args, **kwargs):
+            policies.append(make_policy(*args, **kwargs))
+            return policies[-1]
+
+        def recording_sample_purchase(*args):
+            served.append((policies[0]._offers, policies[0].held))
+            return sample_purchase(*args)
+
+        monkeypatch.setattr(harness, "make_policy", recording_make_policy)
+        monkeypatch.setattr(harness, "sample_purchase", recording_sample_purchase)
+        harness.run_episode(instance, name, horizon, 5, policy_params=params)
+        first = served[-held][1]
+        assert first >= harness.RUN_MIN
+        assert served[-held:] == [(horizon - held + 1 + i, first - i) for i in range(held)]
 
 
 # Revenues that tie, hit 0 and 1, or fill the unit range; N = 1 included.
@@ -560,8 +583,9 @@ def _is_offer(offer, n):
 def test_protocol_holds_however_runs_are_served(name, revenues, horizon, serving, data):
     # Exactly T offers, each a size or an increasing tuple, then
     # HorizonExhaustedError, whether runs are served a period at a time, at
-    # once, or mixed; a call out of order raises PolicyProtocolError and
-    # changes nothing.
+    # once, or mixed; a call out of order raises PolicyProtocolError, a
+    # hand-over of more periods than the offer holds raises ValueError, and
+    # neither changes anything.
     n = len(revenues)
     params = None
     if name == "static":
@@ -579,17 +603,21 @@ def test_protocol_holds_however_runs_are_served(name, revenues, horizon, serving
             with pytest.raises(PolicyProtocolError):
                 policy.observe_run(np.zeros(1))
         mode = serving if serving != "mixed" else data.draw(st.sampled_from(["periods", "runs"]))
+        most = min(policy.held, horizon - served)
+        if data.draw(st.integers(0, 9)) == 0:  # more periods than the offer holds
+            with pytest.raises(ValueError):
+                policy.next_offer(most + 1)
         if mode == "periods":
-            offer, k = policy.next_offer(), 1
+            k = 1
         else:
-            most = horizon if serving == "runs" else data.draw(st.integers(1, horizon))
-            offer, k = policy.next_run(most, data.draw(st.integers(1, 10)))
-        assert _is_offer(offer, n) and 1 <= k <= horizon - served
+            k = most if serving == "runs" else data.draw(st.integers(1, most))
+        offer = policy.next_offer(k)
+        assert _is_offer(offer, n)
         if data.draw(st.integers(0, 9)) == 0:  # offer again, or observe wrongly
             with pytest.raises(PolicyProtocolError):
                 policy.next_offer()
             with pytest.raises(PolicyProtocolError):
-                policy.next_run(horizon)
+                policy.next_offer(k)
             with pytest.raises(PolicyProtocolError):
                 policy.observe_run(np.zeros(k + 1))
             if k > 1:
@@ -604,7 +632,7 @@ def test_protocol_holds_however_runs_are_served(name, revenues, horizon, serving
             policy.observe_run(prepared[offer].purchase_revenues(rng.random(k)))
         served += k
     assert served == horizon
-    for call in (policy.next_offer, policy.next_assortment, lambda: policy.next_run(horizon)):
+    for call in (policy.next_offer, policy.next_assortment, lambda: policy.next_offer(2)):
         with pytest.raises(HorizonExhaustedError):
             call()
 
@@ -616,8 +644,8 @@ def test_runs_hold_and_hand_over_a_period_at_least():
 
     with pytest.raises(ValueError, match="at least one period"):
         Empty([0.5], 10)
-    with pytest.raises(ValueError, match="at least one period"):
-        StaticPolicy([0.5], 10, (1,)).next_run(0)
+    with pytest.raises(ValueError, match="1 to 10 periods, got 0"):
+        StaticPolicy([0.5], 10, (1,)).next_offer(0)
 
 
 def split_instance(instance, k):
