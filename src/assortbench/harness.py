@@ -29,7 +29,7 @@ import numbers
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,6 +72,13 @@ _FAMILIES = {
 GENERATOR_NAMES = tuple(_FAMILIES)
 
 
+# The last instance built in this process, so that a cell's replications
+# share one unless it redraws them; an Instance is read-only.
+@functools.lru_cache(maxsize=1)
+def _instance(generator: str, n: int, horizon: int, seed: int) -> Instance:
+    return _FAMILIES[generator](n, horizon, seed)
+
+
 def derive_seed(master_seed: int, *tokens) -> int:
     """Deterministic 64-bit seed derived from a master seed and a token
     path, via BLAKE2b over the decimal renderings joined by '/'."""
@@ -90,7 +97,9 @@ class EpisodeLog:
     Per period, ``offer_index`` holds the position of its offer in
     ``offers`` and ``rewards`` the revenue of its sampled purchase. The
     per-period lists ``steps`` and ``assortments`` are built from these on
-    each read.
+    each read; ``assortments`` builds one tuple per distinct offer, and its
+    level-set tuples share one int object per item id (about 9 bytes an id
+    read back, where a new int per id took 36).
     """
 
     policy_name: str
@@ -114,9 +123,24 @@ class EpisodeLog:
     @property
     def assortments(self) -> list:
         """The offer of each period as a tuple of item ids, one tuple object
-        per distinct offer."""
-        prefix = self.levels.prefix
-        offers = [o if isinstance(o, tuple) else prefix(o) for o, *_ in self.offers]
+        per distinct offer.
+
+        A tuple offer is the policy's own tuple. A level-set size s reads as
+        ``levels.prefix(s)``, the ascending ids of the first s items of
+        ``levels.order``. Every such offer is a subset of the largest, so
+        each id's int object is made once per read and shared by every
+        offer holding it; ``levels`` is read only when some offer is a size.
+        """
+        sizes = [o for o, *_ in self.offers if not isinstance(o, tuple)]
+        if sizes:
+            order = self.levels.order[: max(sizes)]
+            ranks = order.argsort()  # revenue rank of each id, in id order
+            ids = (order[ranks] + 1).tolist()
+        # compress reads each mask as bytes, with no list of M bools built.
+        offers = [
+            o if isinstance(o, tuple) else tuple(compress(ids, (ranks < o).tobytes()))
+            for o, *_ in self.offers
+        ]
         return [offers[k] for k in self.offer_index]
 
     @property
@@ -173,8 +197,8 @@ class RunConfig:
 
     def build_instance(self, replication: int = 0) -> Instance:
         tokens = ("instance", replication) if self.redraw_instance else ("instance",)
-        build = _FAMILIES[self.generator]
-        return build(self.n, self.horizon, derive_seed(self.master_seed, *tokens))
+        seed = derive_seed(self.master_seed, *tokens)
+        return _instance(self.generator, self.n, self.horizon, seed)
 
     def episode(self, replication: int = 0) -> EpisodeLog:
         """Replication ``replication`` of this cell, seeded from the master seed."""

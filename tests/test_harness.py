@@ -152,6 +152,55 @@ class TestRunEpisode:
         assert [step[3] for step in log.steps] == regrets
         assert log.cumulative_regret == 0.0
 
+    def test_tuple_offers_read_back_without_an_oracle(self):
+        offers = [((1,), 1, 0.0, 0.0), ((2, 3), 2, 0.0, 0.0)]
+        log = EpisodeLog(
+            policy_name="static",
+            seed=0,
+            optimal_value=0.0,
+            offers=offers,
+            offer_index=array("q", [0, 1, 0]),
+        )
+        assert log.levels is None
+        assert [id(a) for a in log.assortments] == [id(offers[k][0]) for k in (0, 1, 0)]
+
+    @pytest.mark.parametrize("name", (*POLICY_NAMES, "sizes-and-a-tuple"))
+    def test_assortments_share_one_int_per_item(self, monkeypatch, name):
+        # A level-set offer is the tuple levels.prefix(size) gives, a tuple
+        # offer the policy's own, and across the level-set offers each item
+        # id is one int object. N is well above 256: CPython caches the
+        # ints up to 256.
+        class SizesAndATuple:
+            held = 1  # each offer is one period's
+
+            def __init__(self, *args, **kwargs):
+                self._offers = itertools.cycle((1500, 0, (3, 900), 2000, 700))
+
+            def next_offer(self):
+                return next(self._offers)
+
+            def observe(self, outcome):
+                pass
+
+        if name == "sizes-and-a-tuple":
+            monkeypatch.setattr(harness, "make_policy", SizesAndATuple)
+        params = {"assortment": (3, 700, 1999)} if name == "static" else None
+        log = run_episode(generate_synthetic(2000, seed=3), name, 4000, 7, policy_params=params)
+        assortments = log.assortments
+        assert len({id(a) for a in assortments}) == len(log.offers)
+        level_sets = []
+        for k, (offer, *_) in enumerate(log.offers):
+            read = assortments[log.offer_index.index(k)]
+            if isinstance(offer, tuple):
+                assert read is offer
+            else:
+                assert read == log.levels.prefix(offer)
+                level_sets.append(read)
+        if name in ("thompson", "ucb", "trisection"):
+            assert sum(len(a) > 0 for a in level_sets) > 1
+        ints = [i for offer in level_sets for i in offer]
+        assert len({id(i) for i in ints}) == len(set(ints))
+
     def test_offers_must_be_tuples(self, monkeypatch):
         # One list edited between periods would be found again by identity
         # and valued, sampled and logged as its first contents.
@@ -268,6 +317,17 @@ class TestRunEpisode:
             tracemalloc.stop()
         assert len(log.offers) > 100
         assert peak <= 16 * horizon + 1000 * n
+        # Read back, its 415 distinct offers hold 478,739 item ids; with a
+        # new int object per id above 256 they took 36 bytes an id.
+        tracemalloc.start()
+        try:
+            assortments = log.assortments
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ids = sum(len(a) for a in {id(a): a for a in assortments}.values())
+        assert ids > 100 * n
+        assert peak <= 10 * ids
 
     @pytest.mark.parametrize("name", (*POLICY_NAMES, "duck-typed"))
     def test_optimal_value_is_oracle_optimal(self, monkeypatch, name):
@@ -317,6 +377,22 @@ class TestRunBatch:
             redraw_instance=True,
         )
         assert redraw.build_instance(0) != redraw.build_instance(2)
+
+    @pytest.mark.parametrize("redraw, builds", [(False, 1), (True, 4)])
+    def test_fixed_instance_is_built_once(self, monkeypatch, redraw, builds):
+        seeds = []
+
+        def counting_generate_synthetic(n, seed):
+            seeds.append(seed)
+            return generate_synthetic(n, seed=seed)
+
+        monkeypatch.setattr(harness, "generate_synthetic", counting_generate_synthetic)
+        config = RunConfig(
+            policy="grs", n=15, horizon=50, replications=4, master_seed=9091, redraw_instance=redraw
+        )
+        for k in range(4):
+            config.episode(k)
+        assert len(seeds) == len(set(seeds)) == builds
 
     def test_preflight_policy_is_freed_without_a_collection(self, monkeypatch):
         # The check builds a policy that never sees an outcome; it must not
