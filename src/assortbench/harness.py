@@ -98,8 +98,7 @@ class EpisodeLog:
     ``offers`` and ``rewards`` the revenue of its sampled purchase. The
     per-period lists ``steps`` and ``assortments`` are built from these on
     each read; ``assortments`` builds one tuple per distinct offer, and its
-    level-set tuples share one int object per item id (about 9 bytes an id
-    read back, where a new int per id took 36).
+    level-set tuples share one int object per item id, about 9 bytes an id.
     """
 
     policy_name: str
