@@ -207,13 +207,21 @@ def assortment_indices(assortment, n: int) -> np.ndarray:
 class PreparedOffer:
     """The MNL purchase distribution of one assortment on one instance.
 
-    Validates the assortment once and holds the 0-based item indices and
-    the cumulative utilities in item order, so each draw costs one uniform
-    and a binary search. The search and the item lookup read memoryviews
-    of these arrays, so a draw creates Python ints and floats only. A run
-    of k draws whose outcomes are read only as revenues costs one
+    Holds the 0-based item indices, their utilities and the cumulative
+    utilities in item order, so each draw costs one uniform and a binary
+    search, and the expected revenue and probabilities gather nothing
+    again. The search and the item lookup read memoryviews of these
+    arrays, so a draw creates Python ints and floats only. A run of k draws
+    whose outcomes are read only as revenues costs one
     ``purchase_revenues`` call: a handful of numpy passes over k uniforms
     instead of k Python-level draws.
+
+    The constructor takes 1-based item ids and validates them
+    (``assortment_indices``); ``of_indices`` takes 0-based indices that are
+    valid by construction, such as ``LevelSetOracle.prefix_indices``, a
+    sorted slice of a permutation of the items, and checks nothing. Both
+    fill the offer the same way, so an offer's bits do not depend on its
+    path.
 
     ``outcomes`` maps a 0-based item index to that item's
     ``PurchaseOutcome``, built on its first purchase and returned for every
@@ -222,20 +230,33 @@ class PreparedOffer:
     """
 
     __slots__ = (
-        "instance", "indices", "cum_utilities", "_scale", "_cum", "_items", "_revenues", "_last",
-        "_outcomes",
+        "instance", "indices", "cum_utilities", "_utilities", "_scale", "_cum", "_items",
+        "_revenues", "_last", "_outcomes",
     )
 
     def __init__(self, instance: Instance, assortment, outcomes=None):
-        idx = assortment_indices(assortment, instance.n)
-        cum = np.cumsum(instance.utilities[idx])
-        idx.setflags(write=False)
-        cum.setflags(write=False)
+        self._fill(instance, assortment_indices(assortment, instance.n), outcomes)
+
+    @classmethod
+    def of_indices(cls, instance: Instance, indices: np.ndarray, outcomes=None) -> PreparedOffer:
+        """The offer of ``indices``, a new strictly increasing int64 array
+        of 0-based indices below ``instance.n``, taken as it is: the caller
+        guarantees all of this, and the offer owns the array from now on."""
+        offer = cls.__new__(cls)
+        offer._fill(instance, indices, outcomes)
+        return offer
+
+    def _fill(self, instance: Instance, idx: np.ndarray, outcomes) -> None:
+        v = instance.utilities[idx]
+        cum = np.add.accumulate(v)  # the bits of np.cumsum
+        for a in (idx, v, cum):
+            a.setflags(write=False)
         self.instance = instance
         self.indices = idx
         self.cum_utilities = cum
+        self._utilities = v
         # 1 + total utility of the offer (1 for the empty offer).
-        self._scale = float(1.0 + cum[-1]) if idx.size else 1.0
+        self._scale = 1.0 + cum.item(-1) if idx.size else 1.0
         self._cum = memoryview(cum)
         self._items = memoryview(idx)
         self._revenues = memoryview(instance.revenues)
@@ -244,13 +265,13 @@ class PreparedOffer:
 
     def expected_revenue(self) -> float:
         """sum(r v) / (1 + sum(v)) over the offer; 0 for the empty offer."""
-        v = self.instance.utilities[self.indices]
+        v = self._utilities
         return float(np.dot(self.instance.revenues[self.indices], v) / (1.0 + v.sum()))
 
     def probabilities(self) -> np.ndarray:
         """Purchase probabilities: entry 0 is no purchase, entry k >= 1 the
         k-th item of the offer."""
-        v = self.instance.utilities[self.indices]
+        v = self._utilities
         return np.concatenate(([1.0], v)) / (1.0 + v.sum())
 
     def sample(self, rng) -> PurchaseOutcome:
@@ -351,6 +372,13 @@ class LevelSetOracle:
     only while a longer prefix might still win. ``ranked_values`` and
     ``best_prefix`` take utilities in rank order (position k of ``order``);
     callers holding them in item order gather with ``order`` first.
+
+    ``prefix_indices`` gives a level set as sorted 0-based indices and
+    ``prefix`` as 1-based item ids. The indices are a sorted slice of
+    ``order``, a permutation of the items, so they are strictly increasing
+    and in range without a check: an episode prepares a size offer from
+    them with ``PreparedOffer.of_indices``, skipping the validation that
+    item ids from elsewhere go through.
     """
 
     def __init__(self, revenues):
@@ -373,6 +401,9 @@ class LevelSetOracle:
         self.thresholds = thresholds
         self.prefix_len = prefix_len
         self._ends = ends
+        # best_prefix's bound on the values past a block (its docstring).
+        n = r.size
+        self._slack, self._floor = 1.0 + 8.0 * (n + 8) * 2.0**-53, (n + 8) * 2.0**-1072
 
     def ranked_values(self, ranked_utilities) -> np.ndarray:
         """R({r >= s}) for each threshold s, largest threshold (smallest
@@ -413,13 +444,15 @@ class LevelSetOracle:
         k = self.thresholds.searchsorted(theta)
         return int(self.prefix_len[k]) if k < self.thresholds.size else 0
 
-    def prefix_items(self, size: int) -> np.ndarray:
-        """The first ``size`` items of ``order``: ascending 1-based ids."""
-        return np.sort(self.order[:size]) + 1
+    def prefix_indices(self, size: int) -> np.ndarray:
+        """The first ``size`` items of ``order`` as a new array of ascending
+        0-based int64 indices: a sorted slice of a permutation of the
+        items, so strictly increasing and in range by construction."""
+        return np.sort(self.order[:size])
 
     def prefix(self, size: int) -> tuple:
-        """``prefix_items(size)`` as a new tuple of ints."""
-        return tuple(self.prefix_items(size).tolist())
+        """``prefix_indices(size)`` as a new tuple of 1-based item ids."""
+        return tuple((self.prefix_indices(size) + 1).tolist())
 
     def best_prefix(self, estimates, start=None):
         """Size of the best level set (a prefix of ``order``) and its
@@ -458,7 +491,6 @@ class LevelSetOracle:
         total might overflow, passes no start.
         """
         ends, n = self._ends, self.revenues.size
-        slack, floor = 1.0 + 8.0 * (n + 8) * 2.0**-53, (n + 8) * 2.0**-1072
         m = n if start is None else min(max(start, 1), n)
         while True:
             levels = m
@@ -470,15 +502,16 @@ class LevelSetOracle:
                 raise ValueError(f"length mismatch: estimates({m}) returned {v.size} utilities")
             values = self._leading_values(v, levels)
             i = int(values.argmax())
+            best = values.item(i)
             if m == n:
                 break
-            bound = max(float(values[-1]), self.sorted_revenues.item(m)) * slack + floor
-            if bound <= values[i]:
+            bound = max(values.item(-1), self.sorted_revenues.item(m)) * self._slack + self._floor
+            if bound <= best:
                 break
             m = min(2 * m, n)
-        if not values[i] > 0.0:
+        if not best > 0.0:
             return 0, 0.0
-        return int(ends[i]) + 1, float(values[i])
+        return int(ends[i]) + 1, best
 
 
 def build_potential_profile(instance: Instance) -> PotentialProfile:

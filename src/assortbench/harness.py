@@ -260,8 +260,9 @@ def run_episode(
 
     One ``LevelSetOracle`` serves the episode: the policy reads its level
     sets off it and the optimal value is its best prefix. An offer must be
-    a size, prepared from the oracle's sort, or a tuple; each distinct one
-    is valued once and found again by value. The two offers used most
+    a size, prepared unchecked from the oracle's sort, or a tuple, whose
+    item ids are validated; each distinct one is valued once and found
+    again by value. The two offers used most
     recently stay prepared in a ``functools.lru_cache`` (a level-set policy
     alternates two), so a repeated offer costs O(log |S|) a period; each
     item's ``PurchaseOutcome`` is built once.
@@ -282,13 +283,15 @@ def run_episode(
 
     @functools.lru_cache(maxsize=2)
     def prepare(offer):
-        items = offer if isinstance(offer, tuple) else levels.prefix_items(offer)
-        prepared = PreparedOffer(instance, items, outcomes)
+        if isinstance(offer, tuple):
+            prepared = PreparedOffer(instance, offer, outcomes)
+        else:  # the oracle's own sort: valid indices by construction
+            prepared = PreparedOffer.of_indices(instance, levels.prefix_indices(offer), outcomes)
         index = positions.get(offer)
         if index is None:
             value = expected_revenue(instance, prepared)
             index = positions[offer] = len(offers)
-            offers.append((offer, len(items), value, optimal_value - value))
+            offers.append((offer, prepared.indices.size, value, optimal_value - value))
         return prepared, index
 
     kind = type(policy).__name__  # named in the error; `policy` stays a fast local

@@ -293,6 +293,33 @@ class TestPreparedOffer:
         revenues = [repr(offer.sample(one_by_one).revenue) for _ in block]
         assert [repr(r) for r in offer.purchase_revenues(np.array(block)).tolist()] == revenues
 
+    @settings(max_examples=150, deadline=None)
+    @given(edgy_instances(30))
+    def test_offer_of_prefix_indices_is_the_validated_offer(self, inst):
+        # A level-set offer built from the oracle's sort, its indices taken
+        # unchecked, is bit for bit the offer its item ids make through the
+        # validating constructor, at every size.
+        levels = LevelSetOracle(inst.revenues)
+        uniforms = np.concatenate(
+            ([0.0, 0.5, float(np.nextafter(1.0, 0.0))], np.random.default_rng(0).random(61))
+        )
+        for size in range(inst.n + 1):
+            fast = PreparedOffer.of_indices(inst, levels.prefix_indices(size))
+            checked = PreparedOffer(inst, levels.prefix(size))
+            assert fast.indices.dtype == checked.indices.dtype
+            assert fast.indices.tobytes() == checked.indices.tobytes()
+            assert fast.cum_utilities.tobytes() == checked.cum_utilities.tobytes()
+            assert repr(fast.expected_revenue()) == repr(checked.expected_revenue())
+            assert fast.probabilities().tobytes() == checked.probabilities().tobytes()
+            revenues = fast.purchase_revenues(uniforms)
+            assert revenues.tobytes() == checked.purchase_revenues(uniforms).tobytes()
+            streams = [SimpleNamespace(random=iter(uniforms.tolist()).__next__) for _ in "ab"]
+            outcomes = [fast.sample(streams[0]) for _ in uniforms]
+            assert outcomes == [checked.sample(streams[1]) for _ in uniforms]
+            if size == 0:
+                assert not revenues.any() and all(o is outcomes[0] for o in outcomes)
+                assert outcomes[0] == PurchaseOutcome(0, 0.0)
+
     def test_holds_indices_and_cumulative_utilities(self):
         inst = Instance([0.1, 0.2, 0.3], [1.0, 2.0, 4.0])
         offer = PreparedOffer(inst, (1, 3))
@@ -535,9 +562,10 @@ class TestOptimalAssortment:
         levels = LevelSetOracle(inst.revenues)
         offers = [levels.prefix(size) for size in range(inst.n + 1)]
         for size, offer in enumerate(offers):
-            items = levels.prefix_items(size)
-            assert items.dtype.kind == "i"
-            assert list(offer) == items.tolist() == (np.sort(levels.order[:size]) + 1).tolist()
+            indices = levels.prefix_indices(size)
+            assert indices.dtype == np.int64
+            assert indices.tolist() == np.sort(levels.order[:size]).tolist()
+            assert list(offer) == (indices + 1).tolist()
             assert all(type(i) is int for i in offer)
         for theta, size in zip(levels.thresholds.tolist(), levels.prefix_len.tolist()):
             assert offers[size] == level_set(inst, theta)

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from assortbench import harness
-from assortbench.core import PurchaseOutcome, expected_revenue, oracle_optimal, sample_purchase
+from assortbench.core import (
+    InvalidAssortmentError,
+    PurchaseOutcome,
+    expected_revenue,
+    oracle_optimal,
+    sample_purchase,
+)
 from assortbench.generators import generate_lower_bound, generate_synthetic
 from assortbench.harness import (
     UNIFORM_BLOCK,
@@ -223,6 +229,23 @@ class TestRunEpisode:
         with pytest.raises(TypeError, match=r"Aliasing\) offered a list"):
             harness.run_episode(inst, "static", 4, seed=1)
 
+    @pytest.mark.parametrize("offer", [(0,), (11,), (2, 1), (3, 3), (1.5,)])
+    def test_tuple_offers_are_validated(self, monkeypatch, offer):
+        # Only a size is prepared from the oracle's sort unchecked; a tuple
+        # offer's item ids are validated when it is first prepared.
+        class Constant:
+            held = 1  # each offer is one period's
+
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def next_offer(self):
+                return offer
+
+        monkeypatch.setattr(harness, "make_policy", Constant)
+        with pytest.raises(InvalidAssortmentError):
+            harness.run_episode(generate_synthetic(10, seed=1), "static", 4, seed=1)
+
     @pytest.mark.parametrize("offer", [True, -1, 11, np.int64(2), 2.0, None])
     def test_sizes_must_be_ints_within_the_items(self, monkeypatch, offer):
         class Constant:
@@ -259,14 +282,14 @@ class TestRunEpisode:
                 pass
 
         built = []
-        prepared_offer = harness.PreparedOffer
+        fill = harness.PreparedOffer._fill  # run by every way of preparing an offer
 
-        def counting_prepared_offer(*args):
+        def counting_fill(offer, *args):
             built.append(args[1])
-            return prepared_offer(*args)
+            fill(offer, *args)
 
         monkeypatch.setattr(harness, "make_policy", Cycle)
-        monkeypatch.setattr(harness, "PreparedOffer", counting_prepared_offer)
+        monkeypatch.setattr(harness.PreparedOffer, "_fill", counting_fill)
         log = harness.run_episode(generate_synthetic(10, seed=1), "cycle", horizon, seed=1)
         assert len(built) == prepared
         assert [offer for offer, *_ in log.offers] == list(dict.fromkeys(sequence))
