@@ -99,6 +99,8 @@ class EpisodeLog:
     per-period lists ``steps`` and ``assortments`` are built from these on
     each read; ``assortments`` builds one tuple per distinct offer, and its
     level-set tuples share one int object per item id, about 9 bytes an id.
+    ``policy`` is the finished policy, for its records (``interval_history``,
+    ``epochs_closed``, its estimates); it is not compared or shown.
     """
 
     policy_name: str
@@ -108,6 +110,7 @@ class EpisodeLog:
     offer_index: array = field(default_factory=lambda: array("q"))
     rewards: array = field(default_factory=lambda: array("d"))
     levels: LevelSetOracle = None
+    policy: object = field(default=None, repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
@@ -273,7 +276,7 @@ def run_episode(
     policy_seed = derive_seed(seed, "policy")
     policy = make_policy(policy_name, levels, horizon, rng=policy_seed, params=policy_params)
     _, optimal_value = levels.best_prefix(lambda m: instance.utilities[levels.order[:m]])
-    log = EpisodeLog(policy_name=policy_name, seed=seed, optimal_value=optimal_value, levels=levels)
+    log = EpisodeLog(policy_name, seed, optimal_value, levels=levels, policy=policy)
     offers = log.offers
     add_index = log.offer_index.append
     add_reward = log.rewards.append

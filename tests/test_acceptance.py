@@ -13,10 +13,8 @@ import pytest
 
 from assortbench import properties
 from assortbench.cli import main as cli_main
-from assortbench.core import Instance, PreparedOffer, build_potential_profile
-from assortbench.generators import generate_synthetic
-from assortbench.harness import RunConfig, derive_seed, fitted_exponent, run_batch
-from assortbench.policies import make_policy
+from assortbench.core import Instance, build_potential_profile
+from assortbench.harness import RunConfig, fitted_exponent, run_batch
 
 
 # Set by the autouse fixture below so PASS/FAIL lines bypass output capture
@@ -138,25 +136,27 @@ def test_criterion_6_sqrt_horizon_scaling():
     _criterion(6, "fitted regret exponent in [0.3, 0.7]", ok, detail)
 
 
+def _runs_keeping_fixed_point(horizon):
+    """Trisection on criterion 7's 100 synthetic instances (N=100) at
+    ``horizon``: how many runs keep θ* in every epoch's [a, b], and the
+    fewest epochs a run records."""
+    config = RunConfig(policy="trisection", n=100, horizon=horizon, replications=100,
+                       master_seed=707, redraw_instance=True)
+    good, fewest = 0, horizon
+    for k in range(config.replications):
+        theta_star = build_potential_profile(config.build_instance(k)).f_star
+        history = config.episode(k).policy.interval_history
+        good += all(a <= theta_star <= b for a, b in history)
+        fewest = min(fewest, len(history))
+    return good, fewest
+
+
 def test_criterion_7_trisection_interval_contains_fixed_point():
-    good = 0
-    runs = 100
-    for k in range(runs):
-        inst = generate_synthetic(100, seed=derive_seed(707, "instance", k))
-        theta_star = build_potential_profile(inst).f_star
-        policy = make_policy("trisection", inst.revenues, 1000)
-        rng = np.random.default_rng(derive_seed(707, "customer", k))
-        prepared = {}  # each distinct offer prepared once; draws are unchanged
-        for _ in range(1000):
-            assortment = policy.next_assortment()
-            offer = prepared.get(assortment)
-            if offer is None:
-                offer = prepared[assortment] = PreparedOffer(inst, assortment)
-            policy.observe(offer.sample(rng))
-        if all(a <= theta_star <= b for a, b in policy.interval_history):
-            good += 1
+    # At T=1000 the first epoch's budget (2000) exceeds T, so every run
+    # records only [0, 1]: this cannot fail. Criterion 11 can.
+    good, _ = _runs_keeping_fixed_point(1000)
     _criterion(7, "interval contains the fixed point every epoch",
-               good >= 99, f"{good}/{runs} runs")
+               good >= 99, f"{good}/100 runs")
 
 
 def test_criterion_8_uniform_concentration_coverage():
@@ -188,3 +188,11 @@ def test_criterion_9_benchmark_determinism_across_parallelism(tmp_path):
         payloads.append((out / "bench_summaries.json").read_bytes())
     _criterion(9, "bench summaries byte-identical across worker counts",
                payloads[0] == payloads[1])
+
+
+def test_criterion_11_fixed_point_kept_past_the_first_epoch():
+    # Criterion 7's protocol at T=16000, where every run must leave its
+    # first epoch, so that a wrong interval update can show.
+    good, fewest = _runs_keeping_fixed_point(16_000)
+    _criterion(11, "interval contains the fixed point every epoch at T=16000",
+               good >= 99 and fewest >= 2, f"{good}/100 runs, fewest epochs {fewest}")

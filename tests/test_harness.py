@@ -33,6 +33,28 @@ from assortbench.harness import (
 from assortbench.policies import POLICY_NAMES
 
 
+class Scripted:
+    """A stand-in policy that offers its script's offers in turn, each for
+    one period."""
+
+    held = 1
+
+    def __init__(self, offers):
+        self._offers = offers
+
+    def next_offer(self):
+        return next(self._offers)
+
+    def observe(self, outcome):
+        pass
+
+
+def script(monkeypatch, offers):
+    """Make ``run_episode`` drive a ``Scripted`` policy fed the iterator
+    ``offers``, whatever policy it is asked for."""
+    monkeypatch.setattr(harness, "make_policy", lambda *args, **kwargs: Scripted(offers))
+
+
 class TestGenerators:
     def test_synthetic_ranges(self):
         inst = generate_synthetic(200, seed=0)
@@ -121,24 +143,15 @@ class TestRunEpisode:
         assert [s[3] for s in log.steps] == [regret] * horizon
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
-    def test_finished_policy_is_freed_without_a_collection(self, monkeypatch, name):
+    def test_finished_policy_is_freed_without_a_collection(self, name):
         # A policy and its decision generator refer to each other; the cycle
         # must be broken once the last outcome is observed.
-        refs = []
-        make_policy = harness.make_policy
-
-        def recording_make_policy(*args, **kwargs):
-            policy = make_policy(*args, **kwargs)
-            refs.append(weakref.ref(policy))
-            return policy
-
-        monkeypatch.setattr(harness, "make_policy", recording_make_policy)
         params = {"assortment": (1, 3)} if name == "static" else None
         inst = generate_synthetic(20, seed=3)
         gc.disable()
         try:
-            run_episode(inst, name, 300, 2, policy_params=params)
-            assert len(refs) == 1 and refs[0]() is None
+            ref = weakref.ref(run_episode(inst, name, 300, 2, policy_params=params).policy)
+            assert ref() is None
         finally:
             gc.enable()
 
@@ -176,20 +189,8 @@ class TestRunEpisode:
         # offer the policy's own, and across the level-set offers each item
         # id is one int object. N is well above 256: CPython caches the
         # ints up to 256.
-        class SizesAndATuple:
-            held = 1  # each offer is one period's
-
-            def __init__(self, *args, **kwargs):
-                self._offers = itertools.cycle((1500, 0, (3, 900), 2000, 700))
-
-            def next_offer(self):
-                return next(self._offers)
-
-            def observe(self, outcome):
-                pass
-
         if name == "sizes-and-a-tuple":
-            monkeypatch.setattr(harness, "make_policy", SizesAndATuple)
+            script(monkeypatch, itertools.cycle((1500, 0, (3, 900), 2000, 700)))
         params = {"assortment": (3, 700, 1999)} if name == "static" else None
         log = run_episode(generate_synthetic(2000, seed=3), name, 4000, 7, policy_params=params)
         assortments = log.assortments
@@ -233,34 +234,16 @@ class TestRunEpisode:
     def test_tuple_offers_are_validated(self, monkeypatch, offer):
         # Only a size is prepared from the oracle's sort unchecked; a tuple
         # offer's item ids are validated when it is first prepared.
-        class Constant:
-            held = 1  # each offer is one period's
-
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def next_offer(self):
-                return offer
-
-        monkeypatch.setattr(harness, "make_policy", Constant)
+        script(monkeypatch, itertools.repeat(offer))
         with pytest.raises(InvalidAssortmentError):
             harness.run_episode(generate_synthetic(10, seed=1), "static", 4, seed=1)
 
     @pytest.mark.parametrize("offer", [True, -1, 11, np.int64(2), 2.0, None])
     def test_sizes_must_be_ints_within_the_items(self, monkeypatch, offer):
-        class Constant:
-            held = 1  # each offer is one period's
-
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def next_offer(self):
-                return offer
-
-        monkeypatch.setattr(harness, "make_policy", Constant)
+        script(monkeypatch, itertools.repeat(offer))
         inst = generate_synthetic(10, seed=1)
         name = type(offer).__name__
-        with pytest.raises(TypeError, match=rf"Constant\) offered a {name}; .* \[0, 10\]"):
+        with pytest.raises(TypeError, match=rf"Scripted\) offered a {name}; .* \[0, 10\]"):
             harness.run_episode(inst, "static", 4, seed=1)
 
     @pytest.mark.parametrize(
@@ -269,18 +252,6 @@ class TestRunEpisode:
     def test_two_most_recent_offers_stay_prepared(self, monkeypatch, sequence, horizon, prepared):
         # A returning offer is prepared again only once two other offers
         # have been used since it was last offered.
-        class Cycle:
-            held = 1  # each offer is one period's
-
-            def __init__(self, *args, **kwargs):
-                self._offers = itertools.cycle(sequence)
-
-            def next_offer(self):
-                return next(self._offers)
-
-            def observe(self, outcome):
-                pass
-
         built = []
         fill = harness.PreparedOffer._fill  # run by every way of preparing an offer
 
@@ -288,7 +259,7 @@ class TestRunEpisode:
             built.append(args[1])
             fill(offer, *args)
 
-        monkeypatch.setattr(harness, "make_policy", Cycle)
+        script(monkeypatch, itertools.cycle(sequence))
         monkeypatch.setattr(harness.PreparedOffer, "_fill", counting_fill)
         log = harness.run_episode(generate_synthetic(10, seed=1), "cycle", horizon, seed=1)
         assert len(built) == prepared
@@ -354,20 +325,8 @@ class TestRunEpisode:
 
     @pytest.mark.parametrize("name", (*POLICY_NAMES, "duck-typed"))
     def test_optimal_value_is_oracle_optimal(self, monkeypatch, name):
-        class FirstItem:
-            held = 1  # each offer is one period's
-
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def next_offer(self):
-                return (1,)
-
-            def observe(self, outcome):
-                pass
-
         if name == "duck-typed":
-            monkeypatch.setattr(harness, "make_policy", FirstItem)
+            script(monkeypatch, itertools.repeat((1,)))
         params = {"assortment": (1,)} if name == "static" else None
         for n, seed in ((1, 0), (30, 4), (200, 5)):
             inst = generate_synthetic(n, seed=seed)
