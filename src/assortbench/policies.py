@@ -1,19 +1,18 @@
 """Assortment-selection policies.
 
-All policies see only the item revenues, the horizon T, and the stream of
-purchase outcomes; utilities stay hidden. A policy alternates strictly
-between ``next_offer()`` and ``observe(outcome)`` and emits at most T
-offers. An offer is a level-set size of the policy's ``LevelSetOracle``
-(every policy here but ``static``) or a tuple of item ids;
-``next_assortment()`` returns either as a tuple of item ids.
+All policies see only the item revenues, the horizon T and what their
+offers earn; utilities stay hidden. A policy alternates strictly between
+``next_offer`` and ``observe``/``observe_run`` and emits at most T offers.
+An offer is a level-set size of the policy's ``LevelSetOracle`` (every
+policy here but ``static``) or a tuple of item ids; ``next_assortment()``
+returns either as a tuple of item ids.
 
-A policy may hold an offer for a run of periods whose outcomes it reads
-only as their summed revenue: trisection's exploitation once its interval
-excludes the probe level, each golden-section probe and the final
-incumbent, and the static offer. ``held`` is the number of periods the
-next offer is held for; ``next_offer(k)`` hands over k of them at once and
-``observe_run`` observes them, with the same offers and the same sum as
-``next_offer()``/``observe`` one period at a time.
+UCB and Thompson read each purchase outcome. Trisection, its adaptive
+variant, grs and static hold every offer as a run of periods (``Policy``)
+and read it only as its summed revenue: a trisection explore period, or an
+exploit period between probes, is a one-period run; the rest of an epoch's
+budget once its interval excludes the probe level, each golden-section
+probe, grs's final incumbent and the static offer are longer ones.
 
 Included: the trisection policy and its adaptive-confidence variant,
 epoch-based UCB and Thompson-sampling baselines, golden-ratio search over
@@ -64,16 +63,16 @@ def _level_sets(revenues) -> LevelSetOracle:
 class Policy:
     """Base class driving a decision generator.
 
-    Subclasses implement ``_run()``, an infinite generator that yields
-    offers and receives the corresponding ``PurchaseOutcome`` via
-    ``send``, or yields an offer held as a run (``_hold``) and receives
-    the run's summed revenue; level sets are read off one
-    ``LevelSetOracle`` and offered as their sizes. ``revenues`` is that
+    Subclasses implement ``_run()``, an infinite generator that yields an
+    offer and receives its ``PurchaseOutcome`` via ``send`` (UCB and
+    Thompson), or yields an offer held as a run (``_hold``: every other
+    policy) and receives the run's summed revenue; level sets are read off
+    one ``LevelSetOracle`` and offered as their sizes. ``revenues`` is that
     oracle, or a revenue vector it is built from. The generator's frame
     refers back to the policy, so the policy closes it once the T-th period
-    is observed: a finished policy is freed without a garbage collection,
-    its statistics readable.
-    ``close`` does the same for a policy dropped before its last offer.
+    is observed, or on ``close`` if dropped before its last offer: a
+    finished policy is freed without a garbage collection, its statistics
+    readable.
 
     ``held`` is the number of periods the next offer is held for: 1 for an
     offer, and for a run the periods it still holds (the horizon may end it
@@ -209,8 +208,9 @@ class TrisectionPolicy(Policy):
     assortment until the interval around its mean revenue excludes y, while
     exploiting the left endpoint a in every inner iteration; the interval
     then shrinks to two thirds of its length. Confidence level is 1/T^2.
-    Once y is excluded, the epoch's remaining inner iterations exploit a
-    alone, as one run.
+    Each explore period, and each exploit period until y is excluded, is a
+    one-period run; the epoch's remaining inner iterations then exploit a
+    as one run, so only summed revenues are read.
 
     ``interval_history`` records (a, b) at the start of every epoch.
     """
@@ -239,14 +239,13 @@ class TrisectionPolicy(Policy):
             # excludes y (never before the first explore: y lies in [0, 1]),
             # the rest of the budget exploits as one run.
             for i in range(budget):
-                outcome = yield explore
-                total += outcome.revenue
+                total += yield self._hold(explore, 1)
                 count += 1
                 lower, upper = self._make_ci(total, count)
                 if not lower <= y <= upper:
                     yield self._hold(exploit, budget - i)
                     break
-                yield exploit
+                yield self._hold(exploit, 1)
             if upper < y:
                 b = y
             else:

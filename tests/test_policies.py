@@ -11,6 +11,7 @@ from assortbench.core import (
     LevelSetOracle,
     PreparedOffer,
     PurchaseOutcome,
+    build_potential_profile,
     expected_revenue,
     oracle_optimal,
     sample_purchase,
@@ -561,10 +562,13 @@ _protocol_revenues = st.lists(
 )
 
 
-def _is_offer(offer, n):
-    """A size in [0, n] or a strictly increasing tuple of ids in [1, n]."""
+def _is_offer(offer, levels):
+    """A level-set size of ``levels`` (0 or one of its ``prefix_len``, so
+    never a size that cuts a tie group) or a strictly increasing tuple of
+    ids in [1, N]."""
     if type(offer) is int:
-        return 0 <= offer <= n
+        return offer == 0 or offer in levels.prefix_len
+    n = levels.revenues.size
     return (
         isinstance(offer, tuple)
         and all(type(i) is int and 1 <= i <= n for i in offer)
@@ -572,20 +576,27 @@ def _is_offer(offer, n):
     )
 
 
-@settings(max_examples=100, deadline=None)
+# The policies that read each purchase outcome; every other policy holds
+# every offer as a run and sees only summed revenues.
+_OUTCOME_READERS = ("ucb", "thompson")
+
+
+@pytest.mark.parametrize("serving", ["periods", "runs", "mixed", "run-only"])
+@settings(max_examples=35, deadline=None)
 @given(
     name=st.sampled_from(POLICY_NAMES),
     revenues=_protocol_revenues,
     horizon=st.integers(min_value=1, max_value=300),
-    serving=st.sampled_from(["periods", "runs", "mixed"]),
     data=st.data(),
 )
-def test_protocol_holds_however_runs_are_served(name, revenues, horizon, serving, data):
-    # Exactly T offers, each a size or an increasing tuple, then
+def test_protocol_holds_however_runs_are_served(serving, name, revenues, horizon, data):
+    # Exactly T offers, each a level-set size or an increasing tuple, then
     # HorizonExhaustedError, whether runs are served a period at a time, at
-    # once, or mixed; a call out of order raises PolicyProtocolError, a
-    # hand-over of more periods than the offer holds raises ValueError, and
-    # neither changes anything.
+    # once, mixed, or (run-only) with every hand-over of a policy that does
+    # not read outcomes observed by its revenues, one-period hand-overs
+    # included; a call out of order raises PolicyProtocolError, a hand-over
+    # of more periods than the offer holds raises ValueError, and neither
+    # changes anything.
     n = len(revenues)
     params = None
     if name == "static":
@@ -612,7 +623,7 @@ def test_protocol_holds_however_runs_are_served(name, revenues, horizon, serving
         else:
             k = most if serving == "runs" else data.draw(st.integers(1, most))
         offer = policy.next_offer(k)
-        assert _is_offer(offer, n)
+        assert _is_offer(offer, policy._levels)
         if data.draw(st.integers(0, 9)) == 0:  # offer again, or observe wrongly
             with pytest.raises(PolicyProtocolError):
                 policy.next_offer()
@@ -623,10 +634,13 @@ def test_protocol_holds_however_runs_are_served(name, revenues, horizon, serving
             if k > 1:
                 with pytest.raises(PolicyProtocolError):
                     policy.observe(NO_PURCHASE)
+            elif name in _OUTCOME_READERS:  # an offer is observed by its outcome
+                with pytest.raises(PolicyProtocolError):
+                    policy.observe_run(np.zeros(1))
         if offer not in prepared:
             items = policy._levels.prefix(offer) if type(offer) is int else offer
             prepared[offer] = PreparedOffer(instance, items)
-        if k == 1:
+        if k == 1 and (serving != "run-only" or name in _OUTCOME_READERS):
             policy.observe(prepared[offer].sample(rng))
         else:
             policy.observe_run(prepared[offer].purchase_revenues(rng.random(k)))
@@ -646,6 +660,47 @@ def test_runs_hold_and_hand_over_a_period_at_least():
         Empty([0.5], 10)
     with pytest.raises(ValueError, match="1 to 10 periods, got 0"):
         StaticPolicy([0.5], 10, (1,)).next_offer(0)
+
+
+def fluid_episode(policy, instance, horizon):
+    """Serve ``horizon`` periods to a policy that reads no outcome, each
+    period earning its offer's exact expected revenue: the fluid episode, a
+    function of the instance, the horizon and the params alone. Each step
+    hands over all the periods the offer still holds."""
+    levels = policy._levels
+    ranked = levels.ranked_values(instance.utilities[levels.order])
+    value = {0: 0.0, **dict(zip(levels.prefix_len[::-1].tolist(), ranked.tolist()))}
+    served = 0
+    while served < horizon:
+        k = min(policy.held, horizon - served)
+        policy.observe_run(np.full(k, value[policy.next_offer(k)]))
+        served += k
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("trisection", None),
+        ("adaptive-trisection", {"ci_scale": 2.0}),
+        ("adaptive-trisection", {"ci_scale": 0.1}),
+    ],
+    ids=["trisection", "adaptive-2", "adaptive-0.1"],
+)
+def test_fluid_episodes_keep_theta_star(name, params):
+    # Every confidence interval of a fluid episode holds the true mean, so
+    # every recorded [a, b] must hold theta* (the proof's good event), on
+    # random profiles of 2 to 16 levels at T = 4000: 0 misses of 30.
+    horizon, misses = 4000, []
+    for k in range(30):
+        rng = np.random.default_rng(k)
+        n = 2 + k % 15
+        instance = Instance(rng.random(n), 10 ** rng.uniform(-2, 2, n))
+        policy = make_policy(name, instance.revenues, horizon, params=params)
+        fluid_episode(policy, instance, horizon)
+        theta = build_potential_profile(instance).f_star
+        if not all(a - 1e-12 <= theta <= b + 1e-12 for a, b in policy.interval_history):
+            misses.append(k)
+    assert misses == []
 
 
 def split_instance(instance, k):
