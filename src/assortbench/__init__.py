@@ -18,13 +18,14 @@ from .core import (
     potential,
     sample_purchase,
 )
-from .generators import generate_lower_bound, generate_synthetic
 from .harness import (
     AggregateSummary,
     EpisodeLog,
     RunConfig,
     derive_seed,
     fitted_exponent,
+    generate_lower_bound,
+    generate_synthetic,
     run_batch,
     run_episode,
 )

@@ -79,9 +79,15 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _parse_assortment(text: str) -> tuple:
+    """An assortment flag's value: comma-separated item ids, or none."""
     if not text.strip():
         return ()
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated item ids, got {text!r}"
+        ) from None
 
 
 def _count(text: str) -> int:
@@ -172,7 +178,10 @@ def _load_bench_config(name_or_path: str) -> dict:
     if not path.exists():
         raise ValueError(f"no such config: {name_or_path}")
     with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"bench config {name_or_path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"bench config {name_or_path} is not a JSON object")
     return config

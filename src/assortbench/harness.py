@@ -6,9 +6,10 @@ its customers are blocks of uniforms, a run of periods on one offer is
 drawn from its block in one numpy pass, and a ``functools.lru_cache``
 keeps the episode's two most recent offers prepared.
 A ``RunConfig`` is one checked cell drawing from one of ``GENERATOR_NAMES``:
-the synthetic family, seeded from the master seed, or one side of the hard
-lower-bound pair; its ``episode(k)`` is replication k, its ``key`` its name
-(``policy:n=…:t=…``, with ``:g=<generator>`` appended off the synthetic family).
+the synthetic family (``generate_synthetic``), seeded from the master seed,
+or one side of the hard lower-bound pair (``generate_lower_bound``); its
+``episode(k)`` is replication k, its ``key`` its name (``policy:n=…:t=…``,
+with ``:g=<generator>`` appended off the synthetic family).
 Batches aggregate independent replications into mean/max/std summaries,
 optionally in parallel; results are independent of worker count because
 every replication owns its seed-derived random streams. One process pool
@@ -36,11 +37,12 @@ import numpy as np
 
 from .core import Instance, LevelSetOracle, PreparedOffer, expected_revenue, sample_purchase
 from .core import oracle_optimal  # noqa: F401  (perfbench's tracer wraps it by this name)
-from .generators import generate_lower_bound, generate_synthetic
 from .policies import make_policy
 
 __all__ = [
     "GENERATOR_NAMES",
+    "generate_synthetic",
+    "generate_lower_bound",
     "EpisodeLog",
     "AggregateSummary",
     "RunConfig",
@@ -62,8 +64,40 @@ UNIFORM_BLOCK = 4096
 # 2 vCPUs), so shorter runs are served a period at a time.
 RUN_MIN = 8
 
-# A RunConfig's instance families, name -> (n, horizon, seed) -> Instance. The
-# builders find generate_synthetic in this module, where perfbench wraps it.
+
+def generate_synthetic(n: int, seed=None) -> Instance:
+    """Draw an N-item instance: r_i ~ U[0.4, 0.5] and v_i ~ U[10/N, 20/N],
+    i.i.d. per seed. The utility bounds scale with 1/N, so the total utility
+    concentrates near 15 whatever the item count."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    revenues = rng.uniform(0.4, 0.5, size=n)
+    utilities = rng.uniform(10.0 / n, 20.0 / n, size=n)
+    return Instance(revenues, utilities)
+
+
+def generate_lower_bound(variant: str, n: int, horizon: int) -> Instance:
+    """Hard instance pair: r = (1, 1/2, 0, ..., 0) with v2 = 1 and
+    v1 = 1 - 1/(4 sqrt(T)) for P0, 1 + 1/(4 sqrt(T)) for P1; other items
+    have zero utility."""
+    if variant not in ("P0", "P1"):
+        raise ValueError("variant must be 'P0' or 'P1'")
+    if n < 2:
+        raise ValueError("lower-bound instances need n >= 2")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    bump = 1.0 / (4.0 * math.sqrt(horizon))
+    revenues = np.zeros(n)
+    revenues[0] = 1.0
+    revenues[1] = 0.5
+    utilities = np.zeros(n)
+    utilities[0] = 1.0 - bump if variant == "P0" else 1.0 + bump
+    utilities[1] = 1.0
+    return Instance(revenues, utilities)
+
+
+# A RunConfig's instance families, name -> (n, horizon, seed) -> Instance.
 _FAMILIES = {
     "synthetic": lambda n, horizon, seed: generate_synthetic(n, seed=seed),
     "lower_bound_p0": lambda n, horizon, seed: generate_lower_bound("P0", n, horizon),

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import core
 from .concentration import validate_uniform_concentration
-from .generators import generate_lower_bound
-from .harness import derive_seed
+from .harness import derive_seed, generate_lower_bound
 
 __all__ = [
     "TOL",

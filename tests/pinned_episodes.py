@@ -20,8 +20,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
 
-from assortbench.generators import generate_synthetic
-from assortbench.harness import run_episode
+from assortbench.harness import generate_synthetic, run_episode
 
 
 class Pin(NamedTuple):

@@ -86,6 +86,36 @@ class TestRun:
         assert lines == ["error: --assortment only applies to static"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("ids", ["a", "1.5", "1,,2"])
+    def test_bad_assortment_exits_one_naming_the_flag(self, tmp_path, ids, capsys):
+        code = run_cli(
+            ["run", "--policy", "static", "--assortment", ids, "--n", "5", "--t", "10",
+             "--out", str(tmp_path)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: assortbench run")
+        assert lines[-1] == (
+            f"error: argument --assortment: expected comma-separated item ids, got {ids!r}"
+        )
+        assert not list(tmp_path.iterdir())
+
+    def test_empty_assortment_offers_the_empty_set(self, tmp_path):
+        # Nothing is bought, so each period's regret is the optimal value.
+        args = ["run", "--policy", "static", "--assortment=", "--n", "5", "--t", "10"]
+        assert run_cli([*args, "--out", str(tmp_path)]) == 0
+        config = harness.RunConfig(
+            policy="static", n=5, horizon=10, policy_params={"assortment": ()}
+        )
+        _, optimal = core.oracle_optimal(config.build_instance())
+        rows = (tmp_path / "episode_static_n5_t10.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 10
+        for row in rows:
+            _, size, revenue, regret, _ = row.split(",")
+            assert (int(size), float(revenue), float(regret)) == (0, 0.0, optimal)
+
 
 @pytest.mark.parametrize(
     "argv, flag",
@@ -360,6 +390,22 @@ class TestBench:
     def test_missing_config_exits_one(self, tmp_path):
         assert run_cli(["bench", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{", "is not valid JSON: Expecting property name enclosed in double quotes"),
+            ("[1, 2]", "is not a JSON object"),
+        ],
+    )
+    def test_config_that_is_not_a_json_object_is_named(self, tmp_path, text, message, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run_cli(["bench", "--config", str(path), "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: bench config {path} {message}")
+
     def test_builtin_table_config(self):
         cfg = builtin_config("table2")
         assert cfg["replications"] == 20
@@ -458,3 +504,18 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith("FAIL ") for line in lines)
 
+    def test_verify_fails_when_the_coverage_falls_short(self, monkeypatch, capsys):
+        monkeypatch.setattr(properties, "coverage", lambda rng: 0.5)
+        assert run_cli(["verify", "--instances", "1"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["FAIL uniform concentration coverage 0.5 < 0.99"]
+
+    def test_verify_fails_when_the_kl_bound_is_exceeded(self, monkeypatch, capsys):
+        monkeypatch.setattr(core, "kl_purchase_distributions", lambda p0, p1, assortment: 1.0)
+        assert run_cli(["verify", "--instances", "1"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"FAIL KL bound violated at T={horizon}, S={assortment}"
+            for horizon in (16, 100, 10_000)
+            for assortment in ((1,), (1, 2))
+        ]

@@ -25,6 +25,7 @@ from assortbench.core import (
     potential,
     sample_purchase,
 )
+from assortbench.harness import generate_lower_bound
 from assortbench.policies import UcbPolicy
 
 
@@ -170,6 +171,10 @@ class TestInstance:
             Instance([], [])
         with pytest.raises(ValueError):
             Instance([0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Instance([[0.5]], [[1.0]])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Instance([0.5, 0.4], [[1.0, 2.0]])
         for revenues, named in BAD_REVENUES:
             with pytest.raises(ValueError, match=named):
                 Instance(revenues, [1.0] * len(revenues))
@@ -742,3 +747,17 @@ class TestKlDivergence:
         p1 = Instance([0.5], [0.0])
         with pytest.raises(ValueError):
             kl_purchase_distributions(p0, p1, (1,))
+
+    def test_item_counts_must_match(self):
+        with pytest.raises(ValueError, match="same number of items"):
+            kl_purchase_distributions(
+                Instance([0.5], [1.0]), Instance([0.5, 0.5], [1.0, 1.0]), (1,)
+            )
+
+    def test_offered_item_of_zero_utility_is_skipped(self):
+        # The hard pair's third item has zero utility under both instances:
+        # it is never bought, and adds nothing to the divergence.
+        p0, p1 = generate_lower_bound("P0", 3, 100), generate_lower_bound("P1", 3, 100)
+        assert kl_purchase_distributions(p0, p1, (1, 3)) == kl_purchase_distributions(
+            p0, p1, (1,)
+        )

@@ -11,8 +11,7 @@ import hashlib
 
 import pytest
 
-from assortbench.generators import generate_synthetic
-from assortbench.harness import run_episode
+from assortbench.harness import generate_synthetic, run_episode
 from assortbench.policies import POLICY_NAMES
 
 SIZES = (20, 200)

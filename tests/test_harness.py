@@ -17,13 +17,14 @@ from assortbench.core import (
     oracle_optimal,
     sample_purchase,
 )
-from assortbench.generators import generate_lower_bound, generate_synthetic
 from assortbench.harness import (
     UNIFORM_BLOCK,
     EpisodeLog,
     RunConfig,
     derive_seed,
     fitted_exponent,
+    generate_lower_bound,
+    generate_synthetic,
     run_batch,
     run_episode,
     summaries_to_json,
@@ -88,6 +89,10 @@ class TestGenerators:
             generate_lower_bound("P2", 2, 100)
         with pytest.raises(ValueError):
             generate_lower_bound("P0", 1, 100)
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            generate_lower_bound("P0", 2, 0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            generate_synthetic(0)
 
 
 class TestDeriveSeed:

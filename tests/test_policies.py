@@ -16,7 +16,7 @@ from assortbench.core import (
     oracle_optimal,
     sample_purchase,
 )
-from assortbench.generators import generate_lower_bound, generate_synthetic
+from assortbench.harness import generate_lower_bound, generate_synthetic
 from assortbench.policies import (
     AdaptiveTrisectionPolicy,
     GoldenRatioSearchPolicy,
