@@ -199,11 +199,10 @@ def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
     cell, or a key that the config or a cell does not take, fails before any
     cell runs. Summaries are keyed by ``RunConfig.key``, so a cell that
     repeats an earlier cell's key is a bad cell too."""
-    _check_keys(config, ("master_seed", "replications", "generator", "cells"), "a config")
+    _check_keys(config, ("master_seed", "replications", "cells"), "a config")
     cells = config.get("cells")
     if not isinstance(cells, list) or not cells:
         raise ValueError("bench config needs a nonempty list of cells")
-    generator = config.get("generator", "synthetic")
     configs = []
     first_with_key: dict = {}  # key -> the first cell with it
     for k, cell in enumerate(cells):
@@ -215,7 +214,7 @@ def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
                 policy=cell["policy"],
                 n=cell["n"],
                 horizon=cell["t"],
-                generator=cell.get("generator", generator),
+                generator=cell.get("generator", "synthetic"),
                 policy_params=cell.get("params", {}),
                 replications=replications,
                 master_seed=master_seed,
@@ -225,7 +224,7 @@ def _bench_cells(config: dict, master_seed: int, replications: int) -> list:
                 raise ValueError(f"same key {rc.key} as cell {first}; summaries are keyed by it")
         except KeyError as exc:
             raise ValueError(f"cell {k} {json.dumps(cell)}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"cell {k} {json.dumps(cell)}: {exc}") from None
         configs.append(rc)
     return configs

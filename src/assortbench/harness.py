@@ -126,13 +126,13 @@ class EpisodeLog:
     """The record of one policy run, each fact stored once.
 
     ``offers`` holds each distinct offer once, in the order first offered,
-    as (offer, size, expected revenue, instantaneous expected regret); the
-    offer is the policy's own, a level-set size of ``levels`` or a tuple.
-    Per period, ``offer_index`` holds the position of its offer in
-    ``offers`` and ``rewards`` the revenue of its sampled purchase. The
-    per-period lists ``steps`` and ``assortments`` are built from these on
-    each read; ``assortments`` builds one tuple per distinct offer, and its
-    level-set tuples share one int object per item id, about 9 bytes an id.
+    as (offer, expected revenue); the offer is the policy's own, a
+    level-set size of ``levels`` or a tuple. Per period, ``offer_index``
+    holds the position of its offer in ``offers`` and ``rewards`` the
+    revenue of its sampled purchase. The per-period lists ``steps`` and
+    ``assortments`` are built from these on each read; ``assortments``
+    builds one tuple per distinct offer, and its level-set tuples share one
+    int object per item id, about 9 bytes an id.
     ``policy`` is the finished policy, for its records (``interval_history``,
     ``epochs_closed``, its estimates); it is not compared or shown.
     """
@@ -153,7 +153,10 @@ class EpisodeLog:
     @property
     def steps(self) -> list:
         """(period, assortment size, expected revenue, regret) per period."""
-        facts = [entry[1:] for entry in self.offers]
+        facts = [
+            (len(o) if isinstance(o, tuple) else o, value, self.optimal_value - value)
+            for o, value in self.offers
+        ]
         return [(t, *facts[k]) for t, k in enumerate(self.offer_index, start=1)]
 
     @property
@@ -167,7 +170,7 @@ class EpisodeLog:
         each id's int object is made once per read and shared by every
         offer holding it; ``levels`` is read only when some offer is a size.
         """
-        sizes = [o for o, *_ in self.offers if not isinstance(o, tuple)]
+        sizes = [o for o, _ in self.offers if not isinstance(o, tuple)]
         if sizes:
             order = self.levels.order[: max(sizes)]
             ranks = order.argsort()  # revenue rank of each id, in id order
@@ -175,13 +178,13 @@ class EpisodeLog:
         # compress reads each mask as bytes, with no list of M bools built.
         offers = [
             o if isinstance(o, tuple) else tuple(compress(ids, (ranks < o).tobytes()))
-            for o, *_ in self.offers
+            for o, _ in self.offers
         ]
         return [offers[k] for k in self.offer_index]
 
     @property
     def cumulative_regret(self) -> float:
-        regrets = [entry[3] for entry in self.offers]
+        regrets = [self.optimal_value - value for _, value in self.offers]
         total = 0.0  # a left fold: the builtin sum is compensated from CPython 3.12
         for k in self.offer_index:
             total += regrets[k]
@@ -218,10 +221,7 @@ class RunConfig:
                 f"unknown generator {self.generator!r}; choose from {GENERATOR_NAMES}"
             )
         revenues = self.build_instance().revenues
-        try:
-            policy = make_policy(self.policy, revenues, self.horizon, params=self.policy_params)
-        except TypeError as exc:  # a parameter the policy does not take
-            raise ValueError(str(exc)) from exc
+        policy = make_policy(self.policy, revenues, self.horizon, params=self.policy_params)
         policy.close()  # freed now, not at the next garbage collection
 
     @property
@@ -328,7 +328,7 @@ def run_episode(
         if index is None:
             value = expected_revenue(instance, prepared)
             index = positions[offer] = len(offers)
-            offers.append((offer, prepared.indices.size, value, optimal_value - value))
+            offers.append((offer, value))
         return prepared, index
 
     kind = type(policy).__name__  # named in the error; `policy` stays a fast local
@@ -432,10 +432,8 @@ def write_episode_csv(log: EpisodeLog, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "assortment_size", "expected_revenue", "inst_regret", "cum_regret"])
-        offers = log.offers
         running = 0.0
-        for t, k in enumerate(log.offer_index, start=1):
-            _, size, value, inst = offers[k]
+        for t, size, value, inst in log.steps:
             running += inst
             writer.writerow([t, size, repr(value), repr(inst), repr(running)])
 

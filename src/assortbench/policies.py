@@ -456,7 +456,7 @@ class StaticPolicy(Policy):
 
     def __init__(self, revenues, horizon, assortment):
         levels = _level_sets(revenues)
-        idx = assortment_indices(tuple(assortment), levels.revenues.size)
+        idx = assortment_indices(assortment, levels.revenues.size)
         self.assortment = tuple((idx + 1).tolist())
         super().__init__(levels, horizon)
 
@@ -483,15 +483,17 @@ def make_policy(name: str, revenues, horizon: int, *, rng=None, params=None) -> 
     policy reads its level sets off a given oracle instead of sorting again.
     ``rng`` seeds Thompson's draws: a seed, ``None`` or a numpy ``Generator``.
 
-    Raises ValueError for an unknown name or a parameter value the policy
-    rejects, and TypeError for a parameter the policy does not take.
+    Raises ValueError for an unknown name, a parameter the policy does not
+    take or lacks, or a parameter value it rejects.
     """
     cls = _POLICY_CLASSES.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
-    params = dict(params or {})
-    if cls is ThompsonPolicy:
-        return cls(revenues, horizon, rng=rng, **params)
-    if cls is StaticPolicy and "assortment" not in params:
-        raise ValueError("static policy requires an 'assortment' parameter")
-    return cls(revenues, horizon, **params)
+    seeded = {"rng": rng} if cls is ThompsonPolicy else {}
+    try:
+        return cls(revenues, horizon, **seeded, **(params or {}))
+    except TypeError as exc:
+        if exc.__traceback__.tb_next is not None:  # raised inside the policy
+            raise
+        # Python names the callee first: "Policy.__init__() got an unexpected ..."
+        raise ValueError(f"policy {name!r} {str(exc).partition('() ')[2]}") from None

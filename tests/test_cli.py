@@ -69,12 +69,18 @@ class TestRun:
     def test_unknown_subcommand_exits_one(self):
         assert run_cli(["frobnicate"]) == 1
 
-    def test_ci_scale_on_wrong_policy_exits_one(self, tmp_path):
+    def test_ci_scale_on_wrong_policy_exits_one(self, tmp_path, capsys):
         code = run_cli(
             ["run", "--policy", "ucb", "--ci-scale", "0.1", "--n", "5", "--t", "10",
              "--out", str(tmp_path)]
         )
         assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: policy 'ucb' got an unexpected keyword argument 'ci_scale'"
+        ]
+        assert not list(tmp_path.iterdir())
 
     def test_assortment_on_wrong_policy_exits_one(self, tmp_path, capsys):
         code = run_cli(
@@ -213,7 +219,8 @@ class TestBench:
     @pytest.mark.parametrize(
         "bad_cell, named",
         [
-            ({"policy": "trisection", "n": 10, "t": 60, "params": {"ci_scale": 0.1}}, "ci_scale"),
+            ({"policy": "trisection", "n": 10, "t": 60, "params": {"ci_scale": 0.1}},
+             "policy 'trisection' got an unexpected keyword argument 'ci_scale'"),
             ({"n": 10, "t": 60}, "'policy'"),
             ({"policy": "adaptive-trisection", "n": 10, "t": 60, "params": {"ci_scale": -1}},
              "ci_scale must be positive"),
@@ -233,7 +240,11 @@ class TestBench:
              "unknown key 'generater'"),
             ({"policy": "ucb", "n": 10, "t": 50, "parms": {"ci_scale": 0.1}}, "unknown key 'parms'"),
             ({"policy": "static", "n": 10, "t": 60},
-             "static policy requires an 'assortment' parameter"),
+             "policy 'static' missing 1 required positional argument: 'assortment'"),
+            ({"policy": "static", "n": 10, "t": 60, "params": {"assortment": 5}},
+             "item ids must be integers in a flat sequence"),
+            ({"policy": "thompson", "n": 10, "t": 60, "params": {"rng": 3}},
+             "policy 'thompson' got multiple values for keyword argument 'rng'"),
             ("policy", "a cell must be a JSON object"),
             (["policy", "n"], "a cell must be a JSON object"),
             ({"policy": "grs", "n": 10, "t": 60, "params": [1]}, "policy_params must be a dict"),
@@ -255,6 +266,7 @@ class TestBench:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: cell 2 ") and named in lines[0]
+        assert "__init__" not in lines[0] and "object is not iterable" not in lines[0]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -264,6 +276,9 @@ class TestBench:
             ({"replications": True}, "error: cell 0 ", "replications must be an integer"),
             ({"master_seed": "x"}, "error: cell 0 ", "master_seed must be an integer"),
             ({"master-seed": 5}, "error: unknown key 'master-seed'", "a config takes master_seed"),
+            # A cell's family is named in the cell, or is synthetic.
+            ({"generator": "lower_bound_p1"}, "error: unknown key 'generator'",
+             "a config takes master_seed, replications, cells"),
         ],
     )
     def test_bad_config_number_fails_before_any_cell_runs(self, tmp_path, capsys, change, start, named):
@@ -281,15 +296,15 @@ class TestBench:
 
     def test_repeated_summary_key_fails_before_any_cell_runs(self, tmp_path, capsys):
         # The first config's cells differ only in params; the second's are one
-        # cell on the hard pair's P1 side, the first by the config's generator.
-        # Each pair would write one bench_summaries.json entry.
+        # cell on the hard pair's P1 side. Each pair would write one
+        # bench_summaries.json entry.
         configs = (
             ({"cells": [
                 {"policy": "adaptive-trisection", "n": 10, "t": 200, "params": {"ci_scale": 2.0}},
                 {"policy": "adaptive-trisection", "n": 10, "t": 200, "params": {"ci_scale": 0.1}},
             ]}, "adaptive-trisection:n=10:t=200"),
-            ({"generator": "lower_bound_p1", "cells": [
-                {"policy": "grs", "n": 2, "t": 200},
+            ({"cells": [
+                {"policy": "grs", "n": 2, "t": 200, "generator": "lower_bound_p1"},
                 {"policy": "grs", "n": 2, "t": 200, "generator": "lower_bound_p1"},
             ]}, "grs:n=2:t=200:g=lower_bound_p1"),
         )
@@ -317,11 +332,12 @@ class TestBench:
         assert not out.exists()
 
     def test_lower_bound_generator_cell(self, tmp_path, capsys):
-        # The first cell takes the config's generator; the two sides of one
-        # (policy, N, T) are two cells, keyed apart by their generators.
+        # The two sides of one (policy, N, T) are two cells, keyed apart by
+        # their generators.
         path = tmp_path / "cfg.json"
-        cfg = {"generator": "lower_bound_p1", "replications": 2,
-               "cells": [{"policy": "adaptive-trisection", "n": 2, "t": 200},
+        cfg = {"replications": 2,
+               "cells": [{"policy": "adaptive-trisection", "n": 2, "t": 200,
+                          "generator": "lower_bound_p1"},
                          {"policy": "adaptive-trisection", "n": 2, "t": 200,
                           "generator": "lower_bound_p0"}]}
         path.write_text(json.dumps(cfg))

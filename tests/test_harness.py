@@ -163,8 +163,9 @@ class TestRunEpisode:
     def test_cumulative_regret_adds_left_to_right(self):
         # A compensated sum, as the builtin sum of floats is from CPython
         # 3.12 on, gives 2.0 here and would change the reference bits.
+        # Each offer's regret is minus its expected revenue: the optimal value is 0.
         regrets = [1.0, 1e100, 1.0, -1e100]
-        offers = [((1,), 1, 0.0, 1.0), ((2,), 1, 0.0, 1e100), ((3,), 1, 0.0, -1e100)]
+        offers = [((1,), -1.0), ((2,), -1e100), ((3,), 1e100)]
         log = EpisodeLog(
             policy_name="static",
             seed=0,
@@ -177,7 +178,7 @@ class TestRunEpisode:
         assert log.cumulative_regret == 0.0
 
     def test_tuple_offers_read_back_without_an_oracle(self):
-        offers = [((1,), 1, 0.0, 0.0), ((2, 3), 2, 0.0, 0.0)]
+        offers = [((1,), 0.0), ((2, 3), 0.0)]
         log = EpisodeLog(
             policy_name="static",
             seed=0,

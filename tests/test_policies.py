@@ -529,7 +529,7 @@ def test_runs_cover_the_edge_cases(monkeypatch, name, instance_name, horizon, em
     if held:  # the last `held` periods are one run's
         assert set(log.offer_index[-held:]) == {log.offer_index[-1]}
     else:
-        empty_offer = [k for k, (_, size, *_) in enumerate(log.offers) if size == 0]
+        empty_offer = [k for k, (offer, _) in enumerate(log.offers) if offer in (0, ())]
         assert log.offer_index.count(empty_offer[0]) >= math.ceil(math.sqrt(horizon))
     if name == "trisection":
         assert trisection_inner_budget(1.0 / 3.0, horizon) > horizon
@@ -859,6 +859,12 @@ class TestFactory:
         policy = make_policy("static", [0.5], 10, params={"assortment": (1,)})
         assert policy.next_assortment() == (1,)
 
+    def test_a_type_error_inside_a_policy_is_not_a_usage_error(self):
+        # Only the call's own argument errors become ValueErrors; one raised
+        # while the policy builds itself (here numpy's, on a bad seed) is not.
+        with pytest.raises(TypeError):
+            make_policy("thompson", [0.5], 10, rng=object())
+
     @pytest.mark.parametrize("name", POLICY_NAMES)
     @pytest.mark.parametrize(
         "revenues",
@@ -914,7 +920,7 @@ class TestFactory:
             ("ucb", {"c2": 48.0}),
         ]
         for name, params in rejected:
-            with pytest.raises((TypeError, ValueError)):
+            with pytest.raises(ValueError):
                 make_policy(name, [0.5, 0.7], 10, rng=np.random.default_rng(0), params=params)
 
     def test_estimator_policies_reject_revenues_outside_unit_interval(self):
